@@ -42,7 +42,6 @@ STATS_SCHEMA = ["counter", "value"]
 class Session:
     client_id: str
     subscriptions: list[tuple[TopicFilter, int]] = field(default_factory=list)
-    connected: bool = True
     next_outbound_packet_id: int = 1
 
     def take_packet_id(self) -> int:
@@ -164,6 +163,10 @@ class Broker:
     def stop(self) -> None:
         self._stopping.set()
         if self._listener is not None:
+            try:  # on Linux only shutdown wakes a thread blocked in accept()
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:
@@ -183,10 +186,6 @@ class Broker:
 
     def __exit__(self, *exc) -> None:
         self.stop()
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self.host, self.port
 
     def _accept_loop(self) -> None:
         assert self._listener is not None
@@ -217,7 +216,6 @@ class Broker:
         with self._table_lock:
             if self._sessions.get(conn.session.client_id) is conn:
                 del self._sessions[conn.session.client_id]
-            conn.session.connected = False
             conn.session.subscriptions.clear()
 
     def _subscribe(self, conn: _Connection, packet: Subscribe) -> tuple[int, ...]:

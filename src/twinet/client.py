@@ -1,7 +1,8 @@
 """Minimal MQTT client for the link endpoints.
 
 One broker connection per client; a reader thread feeds received publishes
-into an ordered queue. Publishing while disconnected triggers bounded
+into an ordered queue; when the connection ends, requests waiting on it fail
+at once. Publishing on a dead connection triggers bounded
 reconnect-with-backoff, after which the failure is surfaced.
 """
 
@@ -35,6 +36,10 @@ class BrokerUnreachableError(ConnectionError):
     """Raised once the reconnect retry budget is exhausted."""
 
 
+# Put on a connection's ack queue by its reader thread when the connection ends.
+_CONNECTION_LOST = object()
+
+
 class MqttClient:
     def __init__(self, client_id: str, host: str, port: int,
                  connect_retries: int = 5, backoff_s: float = 0.05,
@@ -47,9 +52,9 @@ class MqttClient:
         self.ack_timeout_s = ack_timeout_s
         self.messages: "queue.Queue[tuple[str, bytes, int]]" = queue.Queue()
         self._sock: socket.socket | None = None
-        self._stream = None
-        self._reader: threading.Thread | None = None
+        # Replaced on every connect: an old connection's end fails no new request.
         self._acks: "queue.Queue[object]" = queue.Queue()
+        self._lost = threading.Event()
         self._io_lock = threading.RLock()
         self._next_packet_id = 1
         self._subscriptions: list[tuple[str, int]] = []
@@ -86,15 +91,12 @@ class MqttClient:
             sock.close()
             raise ConnectionError(f"connect refused: {ack!r}")
         self._sock = sock
-        self._stream = stream
-        self._reader = threading.Thread(
-            target=self._read_loop, name=f"mqtt-reader-{self.client_id}", daemon=True
-        )
-        self._reader.start()
-
-    @property
-    def connected(self) -> bool:
-        return self._sock is not None
+        self._acks = queue.Queue()
+        self._lost = threading.Event()
+        threading.Thread(
+            target=self._read_loop, args=(stream, self._acks, self._lost),
+            name=f"mqtt-reader-{self.client_id}", daemon=True
+        ).start()
 
     def close(self) -> None:
         self._closed = True
@@ -113,7 +115,6 @@ class MqttClient:
             except OSError:
                 pass
         self._sock = None
-        self._stream = None
 
     def _reconnect(self) -> None:
         self._teardown()
@@ -123,27 +124,26 @@ class MqttClient:
 
     # -- reader --------------------------------------------------------------
 
-    def _read_loop(self) -> None:
-        stream = self._stream
+    def _read_loop(self, stream, acks: queue.Queue, lost: threading.Event) -> None:
         try:
-            while True:
-                packet = read_packet(stream)
-                if packet is None:
-                    return
+            while (packet := read_packet(stream)) is not None:
                 if isinstance(packet, Publish):
                     if packet.qos == 1:
                         self._send(PubAck(packet.packet_id))
                     self.messages.put((packet.topic, packet.payload, time.time_ns()))
                 elif isinstance(packet, (SubAck, PubAck, PingResp)):
-                    self._acks.put(packet)
-        except (CodecError, OSError, ValueError):
-            return
+                    acks.put(packet)
+        except (CodecError, OSError, ValueError) as exc:
+            log.debug("reader for %s stopped: %s", self.client_id, exc)
+        finally:
+            lost.set()
+            acks.put(_CONNECTION_LOST)
 
     # -- requests ------------------------------------------------------------
 
     def _send(self, packet) -> None:
         with self._io_lock:
-            if self._sock is None:
+            if self._sock is None or self._lost.is_set():
                 raise ConnectionError("not connected")
             self._sock.sendall(encode_packet(packet))
 
@@ -152,17 +152,22 @@ class MqttClient:
         self._next_packet_id = pid % 0xFFFF + 1
         return pid
 
-    def _wait_ack(self, kind, packet_id: int):
+    def _wait_ack(self, kind, packet_id: int | None = None):
+        """Next ``kind`` ack (with ``packet_id``, if it has one) on this connection."""
+        acks = self._acks
         deadline = time.monotonic() + self.ack_timeout_s
         while True:
             timeout = deadline - time.monotonic()
             if timeout <= 0:
                 raise TimeoutError(f"no {kind.__name__} for packet id {packet_id}")
             try:
-                ack = self._acks.get(timeout=timeout)
+                ack = acks.get(timeout=timeout)
             except queue.Empty:
                 continue
-            if isinstance(ack, kind) and ack.packet_id == packet_id:
+            if ack is _CONNECTION_LOST:
+                acks.put(ack)  # every later wait on this connection fails too
+                raise ConnectionError(f"connection lost awaiting {kind.__name__}")
+            if isinstance(ack, kind) and getattr(ack, "packet_id", None) == packet_id:
                 return ack
 
     def subscribe(self, filter_text: str, max_qos: int = 0) -> None:
@@ -193,15 +198,7 @@ class MqttClient:
     def ping(self) -> None:
         with self._io_lock:
             self._send(PingReq())
-        deadline = time.monotonic() + self.ack_timeout_s
-        while time.monotonic() < deadline:
-            try:
-                ack = self._acks.get(timeout=0.1)
-            except queue.Empty:
-                continue
-            if isinstance(ack, PingResp):
-                return
-        raise TimeoutError("no ping response")
+        self._wait_ack(PingResp)
 
     def poll(self, timeout: float | None = 0.0) -> tuple[str, bytes, int] | None:
         """Next received (topic, payload, recv_ns) in arrival order, or None."""

@@ -1,22 +1,30 @@
 """Timestamped message envelopes over the broker, plus the payload-size
 latency benchmark.
 
-Envelopes are canonical JSON with a fixed key order so that a byte-for-byte
-round trip holds; only model artifact payloads are binary, carried as base64
-inside the envelope.
+An envelope is a fixed big-endian ``struct`` header, then the UTF-8 topic,
+then the raw payload, so a message's wire size is the payload + 22 B + the
+topic + the MQTT header:
 
-Canonical topic namespace: rw/traffic, rw/request, dt/traffic,
-dt/eval/result, dt/model/request, dt/model/artifact, bench/ping/<dir>,
-bench/pong/<dir>.
+| offset | size | field |
+| --- | --- | --- |
+| 0 | 2 | magic ``b"TW"`` |
+| 2 | 1 | version (1) |
+| 3 | 1 | kind, an index into ``KINDS`` |
+| 4 | 8 | seq, u64 |
+| 12 | 8 | sent_at, u64 microseconds since the unix epoch |
+| 20 | 2 | topic length in bytes, u16 |
+| 22 | n | topic, UTF-8 |
+| 22 + n | rest | payload |
+
+Canonical topic namespace: rw/traffic, rw/request, dt/eval/result,
+dt/model/request, dt/model/artifact, bench/ping/<dir>, bench/pong/<dir>.
 """
 
 from __future__ import annotations
 
-import base64
-import binascii
-import json
 import logging
 import statistics
+import struct
 import threading
 import time
 from dataclasses import dataclass, field
@@ -25,6 +33,8 @@ from .client import MqttClient
 
 log = logging.getLogger(__name__)
 
+# Wire vocabulary: the header carries an index into this tuple, so entries
+# are only ever appended, never removed or reordered.
 KINDS = (
     "TrafficUpdate",
     "EvalRequest",
@@ -37,7 +47,6 @@ KINDS = (
 
 TOPIC_RW_TRAFFIC = "rw/traffic"
 TOPIC_RW_REQUEST = "rw/request"
-TOPIC_DT_TRAFFIC = "dt/traffic"
 TOPIC_DT_EVAL_RESULT = "dt/eval/result"
 TOPIC_DT_MODEL_REQUEST = "dt/model/request"
 TOPIC_DT_MODEL_ARTIFACT = "dt/model/artifact"
@@ -47,9 +56,13 @@ BENCH_SAMPLES = 100
 
 BENCH_CSV_SCHEMA = ["size_bytes", "direction", "mean_ms", "p50_ms", "p99_ms", "n"]
 
+ENVELOPE_MAGIC = b"TW"
+ENVELOPE_VERSION = 1
+_HEADER = struct.Struct(">2sBBQQH")  # magic, version, kind, seq, sent_at, topic length
+
 
 class EnvelopeError(ValueError):
-    """Envelope JSON is missing keys, has an unknown kind, or bad base64."""
+    """Envelope bytes are malformed, or its fields do not fit the header."""
 
 
 @dataclass
@@ -67,35 +80,36 @@ class MessageEnvelope:
 
 
 def encode_envelope(envelope: MessageEnvelope) -> bytes:
-    obj = {
-        "topic": envelope.topic,
-        "seq": envelope.seq,
-        "sent_at": envelope.sent_at,
-        "kind": envelope.kind,
-        "payload_b64": base64.b64encode(envelope.payload).decode("ascii"),
-    }
-    return json.dumps(obj, separators=(",", ":")).encode("utf-8")
+    try:
+        topic = envelope.topic.encode("utf-8")
+        header = _HEADER.pack(ENVELOPE_MAGIC, ENVELOPE_VERSION,
+                              KINDS.index(envelope.kind), envelope.seq,
+                              envelope.sent_at, len(topic))
+    except (struct.error, ValueError) as exc:
+        raise EnvelopeError(f"envelope does not fit the header: {exc}") from exc
+    return b"".join((header, topic, envelope.payload))
 
 
 def decode_envelope(data: bytes) -> MessageEnvelope:
     try:
-        obj = json.loads(data)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise EnvelopeError(f"envelope is not valid JSON: {exc}") from exc
+        magic, version, kind, seq, sent_at, topic_len = _HEADER.unpack_from(data)
+    except struct.error as exc:
+        raise EnvelopeError(f"envelope header truncated: {exc}") from exc
+    if magic != ENVELOPE_MAGIC:
+        raise EnvelopeError(f"bad envelope magic {magic!r}")
+    if version != ENVELOPE_VERSION:
+        raise EnvelopeError(f"unsupported envelope version {version}")
+    if kind >= len(KINDS):
+        raise EnvelopeError(f"envelope kind index {kind} out of range")
+    end = _HEADER.size + topic_len
+    if len(data) < end:
+        raise EnvelopeError("envelope topic truncated")
     try:
-        topic = obj["topic"]
-        seq = obj["seq"]
-        sent_at = obj["sent_at"]
-        kind = obj["kind"]
-        payload_b64 = obj["payload_b64"]
-    except KeyError as exc:
-        raise EnvelopeError(f"envelope missing key {exc}") from exc
-    try:
-        payload = base64.b64decode(payload_b64, validate=True)
-    except (binascii.Error, ValueError) as exc:
-        raise EnvelopeError(f"invalid base64 payload: {exc}") from exc
-    return MessageEnvelope(topic=topic, seq=seq, sent_at=sent_at, kind=kind,
-                           payload=payload)
+        topic = str(data[_HEADER.size : end], "utf-8")
+    except UnicodeDecodeError as exc:
+        raise EnvelopeError(f"envelope topic is not UTF-8: {exc}") from exc
+    return MessageEnvelope(topic=topic, seq=seq, sent_at=sent_at,
+                           kind=KINDS[kind], payload=data[end:])
 
 
 def now_us() -> int:
@@ -120,6 +134,7 @@ class LinkEndpoint:
         self._next_seq: dict[str, int] = {}
         self._last_seen_seq: dict[tuple[str, str], int] = {}
         self.gap_count = 0
+        self.decode_errors = 0
 
     def connect(self) -> None:
         self.client.connect()
@@ -151,19 +166,30 @@ class LinkEndpoint:
         return envelope
 
     def poll_envelope(self, timeout: float | None = 0.0) -> MessageEnvelope | None:
-        """Next received envelope in arrival order, or None on timeout."""
-        item = self.client.poll(timeout)
-        if item is None:
-            return None
-        topic, payload, recv_ns = item
-        envelope = decode_envelope(payload)
-        envelope.recv_at = recv_ns // 1_000
-        key = (envelope.kind, envelope.topic)
-        last = self._last_seen_seq.get(key)
-        if last is not None and envelope.seq > last + 1:
-            self.gap_count += envelope.seq - last - 1
-        self._last_seen_seq[key] = max(envelope.seq, last or 0)
-        return envelope
+        """Next received envelope in arrival order, or None on timeout. A message
+        that does not decode is logged, counted in decode_errors and dropped."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
+            item = self.client.poll(timeout)
+            if item is None:
+                return None
+            topic, payload, recv_ns = item
+            try:
+                envelope = decode_envelope(payload)
+            except EnvelopeError as exc:
+                self.decode_errors += 1
+                log.warning("dropped malformed envelope on %s (%d B): %s",
+                            topic, len(payload), exc)
+                if deadline is not None:
+                    timeout = max(0.0, deadline - time.monotonic())
+                continue
+            envelope.recv_at = recv_ns // 1_000
+            key = (envelope.kind, envelope.topic)
+            last = self._last_seen_seq.get(key)
+            if last is not None and envelope.seq > last + 1:
+                self.gap_count += envelope.seq - last - 1
+            self._last_seen_seq[key] = max(envelope.seq, last or 0)
+            return envelope
 
 
 # -- latency benchmark -------------------------------------------------------

@@ -42,6 +42,8 @@ _TYPE_SUBACK = 9
 _TYPE_PINGREQ = 12
 _TYPE_PINGRESP = 13
 _TYPE_DISCONNECT = 14
+_EMPTY_BODY_TYPES = {PingReq: _TYPE_PINGREQ, PingResp: _TYPE_PINGRESP,
+                     Disconnect: _TYPE_DISCONNECT}
 
 _PROTOCOL_NAME = b"\x00\x04MQTT"
 _PROTOCOL_LEVEL = 4
@@ -85,7 +87,7 @@ def _encode_string(s: str) -> bytes:
     return struct.pack(">H", len(data)) + data
 
 
-def _decode_string(buf: bytes, offset: int) -> tuple[str, int]:
+def _decode_string(buf: memoryview, offset: int) -> tuple[str, int]:
     if offset + 2 > len(buf):
         raise TruncatedFrameError("string length prefix truncated")
     (length,) = struct.unpack_from(">H", buf, offset)
@@ -93,7 +95,7 @@ def _decode_string(buf: bytes, offset: int) -> tuple[str, int]:
     if offset + length > len(buf):
         raise TruncatedFrameError("string body truncated")
     try:
-        text = buf[offset : offset + length].decode("utf-8")
+        text = str(buf[offset : offset + length], "utf-8")
     except UnicodeDecodeError as exc:
         raise BadTopicError(f"invalid UTF-8 string: {exc}") from exc
     return text, offset + length
@@ -107,61 +109,52 @@ def _check_topic_name(topic: str) -> None:
 
 
 def encode_packet(packet: ControlPacket) -> bytes:
-    """Encode one control packet to a complete wire frame."""
+    """Encode one control packet to a wire frame, with one join (one payload copy)."""
     if isinstance(packet, Connect):
-        body = (
-            _PROTOCOL_NAME
-            + bytes([_PROTOCOL_LEVEL, _CONNECT_FLAGS])
-            + struct.pack(">H", 0)
-            + _encode_string(packet.client_id)
-        )
+        parts = [_PROTOCOL_NAME, bytes([_PROTOCOL_LEVEL, _CONNECT_FLAGS]),
+                 struct.pack(">H", 0), _encode_string(packet.client_id)]
         header = _TYPE_CONNECT << 4
     elif isinstance(packet, ConnAck):
-        body = bytes([0x00, packet.return_code])
+        parts = [bytes([0x00, packet.return_code])]
         header = _TYPE_CONNACK << 4
     elif isinstance(packet, Publish):
         _check_topic_name(packet.topic)
-        body = _encode_string(packet.topic)
+        parts = [_encode_string(packet.topic)]
         if packet.qos == 1:
-            body += struct.pack(">H", packet.packet_id)
-        body += packet.payload
+            parts.append(struct.pack(">H", packet.packet_id))
+        parts.append(packet.payload)
         header = (_TYPE_PUBLISH << 4) | (packet.qos << 1)
     elif isinstance(packet, PubAck):
-        body = struct.pack(">H", packet.packet_id)
+        parts = [struct.pack(">H", packet.packet_id)]
         header = _TYPE_PUBACK << 4
     elif isinstance(packet, Subscribe):
         if not packet.filters:
             raise ValueError("subscribe requires at least one filter")
-        body = struct.pack(">H", packet.packet_id)
+        parts = [struct.pack(">H", packet.packet_id)]
         for topic_filter, max_qos in packet.filters:
-            body += _encode_string(topic_filter) + bytes([max_qos])
+            parts += (_encode_string(topic_filter), bytes([max_qos]))
         header = (_TYPE_SUBSCRIBE << 4) | 0x02
     elif isinstance(packet, SubAck):
-        body = struct.pack(">H", packet.packet_id) + bytes(packet.granted)
+        parts = [struct.pack(">H", packet.packet_id), bytes(packet.granted)]
         header = _TYPE_SUBACK << 4
-    elif isinstance(packet, PingReq):
-        body = b""
-        header = _TYPE_PINGREQ << 4
-    elif isinstance(packet, PingResp):
-        body = b""
-        header = _TYPE_PINGRESP << 4
-    elif isinstance(packet, Disconnect):
-        body = b""
-        header = _TYPE_DISCONNECT << 4
+    elif type(packet) in _EMPTY_BODY_TYPES:
+        parts = []
+        header = _EMPTY_BODY_TYPES[type(packet)] << 4
     else:
         raise TypeError(f"not a ControlPacket: {packet!r}")
-    return bytes([header]) + encode_remaining_length(len(body)) + body
+    remaining = encode_remaining_length(sum(map(len, parts)))
+    return b"".join((bytes([header]), remaining, *parts))
 
 
-def decode_packet(frame: bytes) -> ControlPacket:
-    """Decode exactly one complete frame back into a control packet."""
+def decode_packet(frame: bytes | bytearray) -> ControlPacket:
+    """Decode one complete frame; a publish payload is the only copy made."""
     if not frame:
         raise TruncatedFrameError("empty input")
     header = frame[0]
     ptype = header >> 4
     flags = header & 0x0F
     remaining, consumed = decode_remaining_length(frame, 1)
-    body = frame[1 + consumed :]
+    body = memoryview(frame)[1 + consumed :]
     if len(body) != remaining:
         raise LengthMismatchError(
             f"declared {remaining} body bytes, got {len(body)}"
@@ -169,7 +162,7 @@ def decode_packet(frame: bytes) -> ControlPacket:
     return _decode_body(ptype, flags, body)
 
 
-def _decode_body(ptype: int, flags: int, body: bytes) -> ControlPacket:
+def _decode_body(ptype: int, flags: int, body: memoryview) -> ControlPacket:
     if ptype == _TYPE_CONNECT:
         offset = len(_PROTOCOL_NAME) + 2 + 2
         if len(body) < offset or body[: len(_PROTOCOL_NAME)] != _PROTOCOL_NAME:
@@ -194,7 +187,7 @@ def _decode_body(ptype: int, flags: int, body: bytes) -> ControlPacket:
                 raise TruncatedFrameError("publish packet id truncated")
             (packet_id,) = struct.unpack_from(">H", body, offset)
             offset += 2
-        return Publish(topic, body[offset:], qos, packet_id)
+        return Publish(topic, bytes(body[offset:]), qos, packet_id)
     if ptype == _TYPE_PUBACK:
         if len(body) != 2:
             raise LengthMismatchError("puback body must be 2 bytes")
@@ -219,45 +212,41 @@ def _decode_body(ptype: int, flags: int, body: bytes) -> ControlPacket:
             raise TruncatedFrameError("suback body truncated")
         (packet_id,) = struct.unpack_from(">H", body, 0)
         return SubAck(packet_id, tuple(body[2:]))
-    if ptype == _TYPE_PINGREQ:
-        if body:
-            raise LengthMismatchError("pingreq body must be empty")
-        return PingReq()
-    if ptype == _TYPE_PINGRESP:
-        if body:
-            raise LengthMismatchError("pingresp body must be empty")
-        return PingResp()
-    if ptype == _TYPE_DISCONNECT:
-        if body:
-            raise LengthMismatchError("disconnect body must be empty")
-        return Disconnect()
+    for packet_type, type_nibble in _EMPTY_BODY_TYPES.items():
+        if ptype == type_nibble:
+            if body:
+                raise LengthMismatchError(f"{packet_type.__name__} body must be empty")
+            return packet_type()
     raise UnknownPacketTypeError(f"unknown packet type nibble {ptype}")
 
 
 def read_packet(stream: BinaryIO) -> ControlPacket | None:
     """Read one framed packet from a blocking byte stream.
 
-    Returns None on clean EOF at a frame boundary; raises TruncatedFrameError
-    on EOF mid-frame.
+    The body is read straight into one preallocated frame buffer. Returns
+    None on clean EOF at a frame boundary; raises TruncatedFrameError on EOF
+    mid-frame.
     """
-    first = stream.read(1)
-    if not first:
+    head = bytearray(stream.read(1))
+    if not head:
         return None
-    varint = bytearray()
     for _ in range(4):
         byte = stream.read(1)
         if not byte:
             raise TruncatedFrameError("EOF inside remaining length")
-        varint += byte
+        head += byte
         if not byte[0] & 0x80:
             break
     else:
         raise MalformedVarintError("continuation bit set past 4 varint bytes")
-    remaining, _ = decode_remaining_length(bytes(varint))
-    body = b""
-    while len(body) < remaining:
-        chunk = stream.read(remaining - len(body))
-        if not chunk:
-            raise TruncatedFrameError("EOF inside packet body")
-        body += chunk
-    return decode_packet(first + bytes(varint) + body)
+    remaining, _ = decode_remaining_length(head, 1)
+    frame = bytearray(len(head) + remaining)
+    frame[: len(head)] = head
+    with memoryview(frame) as view:
+        filled = len(head)
+        while filled < len(frame):
+            count = stream.readinto(view[filled:])
+            if not count:
+                raise TruncatedFrameError("EOF inside packet body")
+            filled += count
+    return decode_packet(frame)

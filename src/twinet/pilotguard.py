@@ -21,7 +21,7 @@ import threading
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -558,9 +558,3 @@ def run_redeploy_pipeline(bs: BaseStation, bs_link: LinkEndpoint,
     )
     return model, timing
 
-
-def frame_stream(config_source: Callable[[], PilotConfig], jam_classes,
-                 rng: np.random.Generator) -> Iterator[SpectrumFrame]:
-    """Frames generated against the *current* pilot config each step."""
-    for jam_class in jam_classes:
-        yield generate_frame(config_source(), jam_class, rng)

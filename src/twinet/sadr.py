@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import logging
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -226,16 +226,15 @@ def decode_eval_result(payload: bytes) -> TwinEvaluation:
     )
 
 
+def reseeded(scenario: ScenarioConfig, *keys: int) -> ScenarioConfig:
+    """``scenario`` with the seed derived from (its seed, *keys)."""
+    seed = np.random.SeedSequence([scenario.seed, *keys]).generate_state(1)[0]
+    return replace(scenario, seed=int(seed))
+
+
 def twin_sim_for(scenario: ScenarioConfig, request_id: int) -> CellSim:
     """Fresh twin mirroring the real cell config, seeded per request."""
-    seed = np.random.SeedSequence([scenario.seed, request_id])
-    return CellSim(ScenarioConfig(
-        n_ues=scenario.n_ues,
-        capacity_mbps=scenario.capacity_mbps,
-        tick_ms=scenario.tick_ms,
-        psr_noise_sigma=scenario.psr_noise_sigma,
-        seed=int(seed.generate_state(1)[0]),
-    ))
+    return CellSim(reseeded(scenario, request_id))
 
 
 class TwinEvalService:
@@ -365,14 +364,7 @@ def run_escalating_scenario(
     for rep in range(repetitions):
         for arm in arms:
             for idx, actions in enumerate(instances):
-                seed = np.random.SeedSequence([scenario.seed, rep, idx])
-                sim = CellSim(ScenarioConfig(
-                    n_ues=scenario.n_ues,
-                    capacity_mbps=scenario.capacity_mbps,
-                    tick_ms=scenario.tick_ms,
-                    psr_noise_sigma=scenario.psr_noise_sigma,
-                    seed=int(seed.generate_state(1)[0]),
-                ))
+                sim = CellSim(reseeded(scenario, rep, idx))
                 request_id = rep * 1000 + idx
                 req = TrafficRequest.from_actions(request_id, actions, action_set)
                 if arm == "ungated":

@@ -1,12 +1,14 @@
 import random
 import socket
+import sys
 import threading
 import time
 
 import pytest
 
 from twinet.client import BrokerUnreachableError, MqttClient
-from twinet.mqtt import TopicFilter, topic_matches, validate_filter
+from twinet.mqtt import (ConnAck, TopicFilter, encode_packet, read_packet,
+                         topic_matches, validate_filter)
 
 
 def make_client(broker, name, **kw):
@@ -175,3 +177,72 @@ class TestLifecycle:
                             backoff_s=0.01)
         with pytest.raises(BrokerUnreachableError):
             client.connect()
+
+    def test_stop_returns_promptly(self):
+        from twinet.broker import Broker
+        b = Broker(port=0)
+        b.start()
+        client = make_client(b, "c")  # the accept thread is now blocked in accept()
+        start = time.monotonic()
+        b.stop()
+        assert time.monotonic() - start < 0.5
+        client.close()
+
+
+def wait_until_lost(client, timeout=2.0):
+    deadline = time.monotonic() + timeout
+    while not client._lost.is_set():
+        assert time.monotonic() < deadline, "reader never saw the connection end"
+        time.sleep(0.01)
+
+
+class TestDeadConnection:
+    def test_pending_ack_fails_when_connection_drops(self):
+        # a peer that accepts the session, then hangs up on the first publish
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def serve_then_hang_up():
+            sock, _ = listener.accept()
+            with sock, sock.makefile("rb") as stream:
+                read_packet(stream)
+                sock.sendall(encode_packet(ConnAck(0)))
+                read_packet(stream)
+
+        peer = threading.Thread(target=serve_then_hang_up, daemon=True)
+        peer.start()
+        client = MqttClient("c", *listener.getsockname(), ack_timeout_s=10.0)
+        client.connect()
+        start = time.monotonic()
+        with pytest.raises(ConnectionError):
+            client.publish("t", b"x", qos=1)
+        assert time.monotonic() - start < 2.0
+        client.close()
+        peer.join(timeout=2.0)
+        assert not peer.is_alive()
+        listener.close()
+
+    def test_publish_after_eof_reconnects_with_fresh_acks(self, broker):
+        old = make_client(broker, "dup", ack_timeout_s=2.0)
+        evictor = make_client(broker, "dup")  # the broker closes old's socket
+        wait_until_lost(old)
+        old.publish("t", b"x", qos=1)  # reconnects, then gets its PubAck
+        old.publish("t", b"y", qos=1)  # the old connection's end is not replayed
+        old.ping()
+        old.close(); evictor.close()
+
+    def test_repeated_evictions_never_replay_a_lost_connection(self, broker):
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            client = make_client(broker, "dup", ack_timeout_s=2.0)
+            deadline = time.monotonic() + 20.0
+            for i in range(20):
+                evictor = make_client(broker, "dup")
+                wait_until_lost(client)
+                client.publish("t", str(i).encode(), qos=1)  # reconnects
+                client.ping()
+                evictor.close()
+                assert time.monotonic() < deadline
+            client.close()
+        finally:
+            sys.setswitchinterval(switch)

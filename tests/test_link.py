@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -28,37 +29,79 @@ def envelopes():
     )
 
 
-class TestEnvelopeCodec:
-    def test_one_byte_payload_base64_length(self):
-        env = MessageEnvelope("t", 0, 1, "BenchPing", b"x")
-        data = encode_envelope(env)
-        import json
-        assert len(json.loads(data)["payload_b64"]) == 4
+def header(magic=b"TW", version=1, kind=5, seq=0, sent_at=1, topic_len=1):
+    return (magic + bytes([version, kind]) + seq.to_bytes(8, "big")
+            + sent_at.to_bytes(8, "big") + topic_len.to_bytes(2, "big"))
 
-    def test_fixed_key_order(self):
-        env = MessageEnvelope("t", 0, 1, "BenchPing", b"")
-        assert encode_envelope(env).startswith(
-            b'{"topic":"t","seq":0,"sent_at":1,"kind":"BenchPing","payload_b64":'
+
+class TestEnvelopeCodec:
+    def test_golden_header_bytes(self):
+        env = MessageEnvelope("t/x", 258, 2**40 + 3, "EvalResult", b"hi")
+        assert encode_envelope(env) == (
+            b"TW\x01\x02"                          # magic, version, kind index
+            b"\x00\x00\x00\x00\x00\x00\x01\x02"  # seq u64
+            b"\x00\x00\x01\x00\x00\x00\x00\x03"  # sent_at u64
+            b"\x00\x03t/x"                         # topic length u16, topic
+            b"hi"                                  # raw payload
         )
+
+    def test_wire_size_is_payload_plus_header_and_topic(self):
+        for size in (0, 1, 1000):
+            env = MessageEnvelope("rw/traffic", 0, 1, "BenchPing", b"x" * size)
+            assert len(encode_envelope(env)) == size + 22 + len("rw/traffic")
 
     @given(envelopes())
     def test_round_trip(self, env):
         assert decode_envelope(encode_envelope(env)) == env
 
+    @given(st.one_of(st.binary(max_size=64),
+                     st.binary(max_size=64).map(lambda tail: b"TW\x01" + tail)))
+    def test_arbitrary_bytes_raise_only_envelope_error(self, data):
+        try:
+            decode_envelope(data)
+        except EnvelopeError:
+            pass
+
+    def test_short_header_rejected(self):
+        with pytest.raises(EnvelopeError, match="header truncated"):
+            decode_envelope(header()[:21])
+
+    def test_bad_magic_rejected(self):
+        with pytest.raises(EnvelopeError, match="magic"):
+            decode_envelope(header(magic=b"TX") + b"t")
+
+    def test_bad_version_rejected(self):
+        with pytest.raises(EnvelopeError, match="version"):
+            decode_envelope(header(version=2) + b"t")
+
     def test_unknown_kind_rejected(self):
-        with pytest.raises(EnvelopeError):
-            decode_envelope(b'{"topic":"t","seq":0,"sent_at":1,'
-                            b'"kind":"Bogus","payload_b64":""}')
+        with pytest.raises(EnvelopeError, match="kind index"):
+            decode_envelope(header(kind=7) + b"t")
 
     def test_missing_key_rejected(self):
-        with pytest.raises(EnvelopeError):
-            decode_envelope(b'{"topic":"t","seq":0,"kind":"BenchPing",'
-                            b'"payload_b64":""}')
+        # the binary counterpart of a missing key: the topic is cut short
+        with pytest.raises(EnvelopeError, match="topic truncated"):
+            decode_envelope(header(topic_len=4) + b"t/x")
+
+    def test_non_utf8_topic_rejected(self):
+        with pytest.raises(EnvelopeError, match="UTF-8"):
+            decode_envelope(header(topic_len=2) + b"\xff\xfe")
 
     def test_bad_base64_rejected(self):
+        # a legacy JSON envelope is not a binary envelope
         with pytest.raises(EnvelopeError):
             decode_envelope(b'{"topic":"t","seq":0,"sent_at":1,'
                             b'"kind":"BenchPing","payload_b64":"@@"}')
+
+    @pytest.mark.parametrize("field, value", [
+        ("seq", -1), ("seq", 2**64), ("sent_at", -1), ("sent_at", 2**64),
+        ("topic", "t" * 65_536), ("topic", "\udcff"), ("kind", "Bogus"),
+    ])
+    def test_out_of_range_field_rejected_on_encode(self, field, value):
+        env = MessageEnvelope("t", 0, 1, "BenchPing", b"")
+        setattr(env, field, value)
+        with pytest.raises(EnvelopeError):
+            encode_envelope(env)
 
 
 class TestLinkEndpoint:
@@ -84,11 +127,20 @@ class TestLinkEndpoint:
 
     def test_sent_at_assigned_at_publish_time(self, broker):
         with LinkEndpoint("rw", broker.host, broker.port) as rw:
-            import time
             before = time.time_ns() // 1_000
             env = rw.publish_envelope("rw/traffic", "TrafficUpdate", b"")
             after = time.time_ns() // 1_000
             assert before <= env.sent_at <= after
+
+    def test_malformed_message_dropped_and_counted(self, broker):
+        with LinkEndpoint("rw", broker.host, broker.port) as rw, \
+             LinkEndpoint("dt", broker.host, broker.port) as dt:
+            dt.subscribe("rw/#")
+            rw.client.publish("rw/traffic", b"\x00garbage", qos=1)
+            rw.publish_envelope("rw/traffic", "TrafficUpdate", b"ok")
+            env = dt.poll_envelope(timeout=2.0)
+            assert env is not None and env.payload == b"ok"
+            assert dt.decode_errors == 1
 
     def test_broker_killed_surfaces_error(self):
         from twinet.broker import Broker
@@ -97,10 +149,12 @@ class TestLinkEndpoint:
         link = LinkEndpoint("rw", b.host, b.port, connect_retries=2,
                             backoff_s=0.01)
         link.connect()
+        start = time.monotonic()
         b.stop()
         with pytest.raises((BrokerUnreachableError, ConnectionError, OSError)):
             for _ in range(20):  # the dead socket may absorb a few sends
                 link.publish_envelope("rw/traffic", "TrafficUpdate", b"x")
+        assert time.monotonic() - start < 2.0
 
 
 class TestLatencyBench:

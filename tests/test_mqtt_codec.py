@@ -1,3 +1,4 @@
+import io
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from twinet.mqtt import (
     decode_remaining_length,
     encode_packet,
     encode_remaining_length,
+    read_packet,
 )
 
 MAX_REMAINING = 268_435_455
@@ -155,3 +157,35 @@ class TestPacketCodec:
     def test_empty_input(self):
         with pytest.raises(TruncatedFrameError):
             decode_packet(b"")
+
+
+class OneByteStream(io.RawIOBase):
+    """A blocking stream that hands out at most one byte per call."""
+
+    def __init__(self, data: bytes):
+        self._data = io.BytesIO(data)
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        return self._data.readinto(memoryview(buffer)[:1])
+
+
+class TestReadPacket:
+    def test_one_byte_reads_assemble_frames(self):
+        packets = [Publish("a/b", bytes(range(256)) * 4, qos=1, packet_id=9),
+                   PingReq(), Publish("c", b"", qos=0)]
+        stream = OneByteStream(b"".join(encode_packet(p) for p in packets))
+        assert [read_packet(stream) for _ in packets] == packets
+        assert read_packet(stream) is None  # clean EOF at a frame boundary
+
+    def test_eof_mid_body_raises(self):
+        frame = encode_packet(Publish("a/b", b"x" * 300, qos=0))
+        with pytest.raises(TruncatedFrameError):
+            read_packet(OneByteStream(frame[:-1]))
+
+    def test_eof_inside_remaining_length_raises(self):
+        frame = encode_packet(Publish("a/b", b"x" * 300, qos=0))
+        with pytest.raises(TruncatedFrameError):
+            read_packet(OneByteStream(frame[:2]))  # varint continues past byte 2

@@ -1,16 +1,21 @@
+import threading
+
 import numpy as np
 import pytest
 
+from twinet.link import TOPIC_RW_REQUEST, LinkEndpoint
 from twinet.netsim import CellSim, NetworkState, ScenarioConfig, UEStat
 from twinet.sadr import (
     DEFER_TO_TWIN,
     LAUNCH_DIRECTLY,
     SAFE_FALLBACK,
     ActionSet,
+    LinkTwinGate,
     LocalTwinGate,
     SadrConfig,
     SadrController,
     TrafficRequest,
+    TwinEvalService,
     TwinEvaluation,
     calibrate_app_requirements,
     compute_risk,
@@ -221,3 +226,32 @@ class TestEscalatingScenario:
         b = twin_sim_for(scenario, 5)
         c = twin_sim_for(scenario, 6)
         assert a.config.seed == b.config.seed != c.config.seed
+
+
+class TestTwinEvalService:
+    def test_malformed_requests_do_not_stop_the_service(self, broker):
+        scenario = ScenarioConfig(psr_noise_sigma=0.0, seed=4)
+        stop = threading.Event()
+        with LinkEndpoint("twin", broker.host, broker.port) as twin_link, \
+             LinkEndpoint("ctrl", broker.host, broker.port) as ctrl_link:
+            service = TwinEvalService(twin_link, scenario)
+            worker = threading.Thread(target=service.run, args=(stop,),
+                                      daemon=True)
+            worker.start()
+            try:
+                gate = LinkTwinGate(ctrl_link, horizon=5)
+                for junk in (b"\xde\xad\xbe\xef",
+                             b'{"topic":"rw/request","seq":0,"sent_at":1,'
+                             b'"kind":"EvalRequest","payload_b64":""}'):
+                    ctrl_link.client.publish(TOPIC_RW_REQUEST, junk, qos=1)
+                req = TrafficRequest(3, (9, 9, 9), (4.5, 4.5, 4.5))
+                gate.send(req)
+                evaluation = gate.result(3, timeout=5.0)
+            finally:
+                stop.set()
+                worker.join(timeout=5.0)
+        assert not worker.is_alive()
+        local = LocalTwinGate(scenario, horizon=5)
+        local.send(req)
+        assert evaluation == local.result(3)
+        assert twin_link.decode_errors == 2
