@@ -55,7 +55,10 @@ class MqttClient:
         # Replaced on every connect: an old connection's end fails no new request.
         self._acks: "queue.Queue[object]" = queue.Queue()
         self._lost = threading.Event()
+        # _io_lock serializes requests (and a publish's wait for its PUBACK);
+        # _send_lock only socket writes, so the reader can PUBACK meanwhile.
         self._io_lock = threading.RLock()
+        self._send_lock = threading.Lock()
         self._next_packet_id = 1
         self._subscriptions: list[tuple[str, int]] = []
         self._closed = False
@@ -103,7 +106,7 @@ class MqttClient:
         with self._io_lock:
             if self._sock is not None:
                 try:
-                    self._sock.sendall(encode_packet(Disconnect()))
+                    self._send(Disconnect())
                 except OSError:
                     pass
                 self._teardown()
@@ -142,10 +145,12 @@ class MqttClient:
     # -- requests ------------------------------------------------------------
 
     def _send(self, packet) -> None:
-        with self._io_lock:
-            if self._sock is None or self._lost.is_set():
-                raise ConnectionError("not connected")
-            self._sock.sendall(encode_packet(packet))
+        sock = self._sock
+        if sock is None or self._lost.is_set():
+            raise ConnectionError("not connected")
+        data = encode_packet(packet)
+        with self._send_lock:
+            sock.sendall(data)
 
     def _take_packet_id(self) -> int:
         pid = self._next_packet_id

@@ -192,6 +192,41 @@ class LinkEndpoint:
             return envelope
 
 
+class TwinService:
+    """Twin-side request loop over a link: answers ``request_kind`` envelopes.
+
+    Subclasses implement ``handle``. A request that ``handle`` cannot decode
+    or act on (KeyError, TypeError or ValueError) is logged, counted in the
+    link's decode_errors and dropped, so one bad request never stops ``run``.
+    """
+
+    request_kind = ""
+
+    def __init__(self, link: LinkEndpoint, topic: str):
+        self.link = link
+        self.link.subscribe(topic)
+
+    def handle(self, envelope: MessageEnvelope) -> None:
+        raise NotImplementedError
+
+    def serve_one(self, timeout: float | None = 1.0) -> bool:
+        envelope = self.link.poll_envelope(timeout)
+        if envelope is None or envelope.kind != self.request_kind:
+            return False
+        try:
+            self.handle(envelope)
+        except (KeyError, TypeError, ValueError) as exc:
+            self.link.decode_errors += 1
+            log.warning("dropped malformed %s on %s (%d B): %r", envelope.kind,
+                        envelope.topic, len(envelope.payload), exc)
+            return False
+        return True
+
+    def run(self, stop: threading.Event) -> None:
+        while not stop.is_set():
+            self.serve_one(timeout=0.1)
+
+
 # -- latency benchmark -------------------------------------------------------
 
 

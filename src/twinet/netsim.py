@@ -12,17 +12,14 @@ Packet size is fixed at 1250 bytes so 1 Mbps corresponds to 100 packets/s.
 from __future__ import annotations
 
 import json
-import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .link import TOPIC_RW_TRAFFIC, LinkEndpoint, MessageEnvelope
 
-log = logging.getLogger(__name__)
-
-PACKET_BYTES = 1250
 PACKETS_PER_MBPS = 100.0  # 1 Mbps / (1250 B * 8 b/B) packets per second
 
 TICK_CSV_SCHEMA = ["tick", "ue", "r_exp", "r_act", "psr", "sent", "received",
@@ -84,16 +81,28 @@ class RateSchedule:
         return rate
 
 
+def _psr_ticks(r_act_mbps, capacity_mbps: float, sigma: float,
+               rng: np.random.Generator) -> Iterator[list[float]]:
+    """Per-UE PSR of successive ticks at fixed rates: one normal(0, sigma, n)
+    draw per tick, none at zero sigma or zero demand (PSR 1: nothing sent,
+    nothing lost)."""
+    n, demand = len(r_act_mbps), float(np.sum(r_act_mbps))
+    base = min(1.0, capacity_mbps / demand) if demand > 0.0 else 1.0
+    noisy = sigma > 0 and demand > 0.0
+    while True:
+        noise = rng.normal(0.0, sigma, n).tolist() if noisy else [0.0] * n
+        yield [min(1.0, max(0.0, base + z)) for z in noise]
+
+
 def compute_psr(r_act_mbps: np.ndarray, capacity_mbps: float, sigma: float,
                 rng: np.random.Generator) -> np.ndarray:
     """Per-UE packet success rate under aggregate congestion."""
-    n = len(r_act_mbps)
-    demand = float(np.sum(r_act_mbps))
-    if demand <= 0.0:
-        return np.ones(n)  # vacuous delivery: nothing sent, nothing lost
-    base = min(1.0, capacity_mbps / demand)
-    noise = rng.normal(0.0, sigma, n) if sigma > 0 else np.zeros(n)
-    return np.clip(base + noise, 0.0, 1.0)
+    return np.array(next(_psr_ticks(r_act_mbps, capacity_mbps, sigma, rng)))
+
+
+# Tick history: one (capacity, n_ues) array per column, a row per tick.
+_HISTORY = (("r_exp", np.float64), ("r_act", np.float64), ("psr", np.float64),
+            ("sent", np.int64), ("received", np.int64))
 
 
 class CellSim:
@@ -106,8 +115,8 @@ class CellSim:
         self.r_exp = np.zeros(config.n_ues)
         self.r_act = np.zeros(config.n_ues)
         self._pending: tuple[np.ndarray, np.ndarray] | None = None
-        self.last_state: NetworkState | None = None
-        self.tick_log: list[NetworkState] = []
+        self._history = {name: np.zeros((0, config.n_ues), dtype)
+                         for name, dtype in _HISTORY}
         # mirroring bookkeeping
         self.last_applied_update_tick = -1
         self.stale_updates = 0
@@ -136,50 +145,67 @@ class CellSim:
 
     def step_tick(self) -> NetworkState:
         """Advance one tick: apply pending allocation, draw PSR, move packets."""
+        self.step_ticks(1)
+        return self.last_state
+
+    def step_ticks(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """Advance ``count`` ticks at the staged allocation; returns the
+        block's psr and received as (count, n_ues) views of the tick history.
+
+        Draws what ``count`` calls to ``step_tick`` would, in the same order:
+        per tick the PSR noise, then one binomial(sent_i, psr_i) per UE.
+        """
+        if count < 0:
+            raise ValueError("count must be >= 0")
         if self._pending is not None:
             self.r_act, self.r_exp = self._pending
             self._pending = None
-        psr = compute_psr(self.r_act, self.config.capacity_mbps,
-                          self.config.psr_noise_sigma, self.rng)
-        tick_s = self.config.tick_ms / 1000.0
-        sent = np.rint(self.r_act * PACKETS_PER_MBPS * tick_s).astype(int)
-        received = self.rng.binomial(sent, psr)
-        ues = tuple(
-            UEStat(
-                r_exp_mbps=float(self.r_exp[i]),
-                r_act_mbps=float(self.r_act[i]),
-                packets_sent=int(sent[i]),
-                packets_received=int(received[i]),
-                psr=float(psr[i]),
-            )
-            for i in range(self.config.n_ues)
-        )
-        state = NetworkState(
-            tick_index=self.tick_index,
-            ues=ues,
-            aggregate_demand_mbps=float(np.sum(self.r_act)),
-        )
-        self.tick_index += 1
-        self.last_state = state
-        self.tick_log.append(state)
-        return state
+        start = self.tick_index
+        stop = self.tick_index = start + count
+        history = self._history
+        if stop > len(history["psr"]):  # grow by doubling
+            rows = max(stop, 2 * len(history["psr"]))
+            for name, column in history.items():
+                history[name] = np.resize(column, (rows, self.config.n_ues))
+        sent = np.rint(self.r_act * PACKETS_PER_MBPS * (self.config.tick_ms / 1000.0)).astype(int)
+        history["r_exp"][start:stop] = self.r_exp
+        history["r_act"][start:stop] = self.r_act
+        history["sent"][start:stop] = sent
+        psr, received, binomial = history["psr"], history["received"], self.rng.binomial
+        ticks = _psr_ticks(self.r_act, self.config.capacity_mbps,
+                           self.config.psr_noise_sigma, self.rng)
+        sent = sent.tolist()
+        for t in range(start, stop):
+            for i, p in enumerate(next(ticks)):
+                psr[t, i] = p
+                received[t, i] = binomial(sent[i], p)
+        return psr[start:stop], received[start:stop]
+
+    def _state(self, tick: int) -> NetworkState:
+        r_exp, r_act, psr, sent, received = (c[tick].tolist() for c in self._history.values())
+        ues = tuple(map(UEStat, r_exp, r_act, sent, received, psr))
+        return NetworkState(tick, ues, float(np.sum(self._history["r_act"][tick])))
+
+    @property
+    def last_state(self) -> NetworkState | None:
+        return self._state(self.tick_index - 1) if self.tick_index else None
+
+    @property
+    def tick_log(self) -> tuple[NetworkState, ...]:
+        """Every tick's state so far, built on demand from the tick history."""
+        return tuple(map(self._state, range(self.tick_index)))
 
     # -- traffic mirroring ----------------------------------------------------
 
     def publish_observation(self, link: LinkEndpoint,
                             topic: str = TOPIC_RW_TRAFFIC) -> MessageEnvelope:
         """Real side: publish this tick's observed per-UE rates."""
-        if self.last_state is None:
+        if not self.tick_index:
             raise RuntimeError("no tick has been stepped yet")
-        rates = [ue.r_act_mbps for ue in self.last_state.ues]
-        payload = json.dumps(
-            {
-                "tick": self.last_state.tick_index,
-                "rates_mbps": rates,
-                "packets_per_s": [r * PACKETS_PER_MBPS for r in rates],
-            },
-            separators=(",", ":"),
-        ).encode("utf-8")
+        rates = self._history["r_act"][self.tick_index - 1].tolist()
+        payload = json.dumps({"tick": self.tick_index - 1, "rates_mbps": rates,
+                              "packets_per_s": [r * PACKETS_PER_MBPS for r in rates]},
+                             separators=(",", ":")).encode("utf-8")
         return link.publish_envelope(topic, "TrafficUpdate", payload)
 
     def apply_mirror_update(self, envelope: MessageEnvelope) -> float | None:
@@ -205,18 +231,12 @@ class CellSim:
 
     def tick_rows(self) -> list[dict]:
         """Per-tick metrics rows in the canonical CSV schema."""
+        columns = [c[:self.tick_index].tolist() for c in self._history.values()]
         rows = []
-        for state in self.tick_log:
-            delay = self._mirror_delay_by_tick.get(state.tick_index)
-            for i, ue in enumerate(state.ues):
-                rows.append({
-                    "tick": state.tick_index,
-                    "ue": i,
-                    "r_exp": ue.r_exp_mbps,
-                    "r_act": ue.r_act_mbps,
-                    "psr": round(ue.psr, 6),
-                    "sent": ue.packets_sent,
-                    "received": ue.packets_received,
-                    "mirror_delay_ms": round(delay, 3) if (delay is not None and i == 0) else "",
-                })
+        for tick, values in enumerate(zip(*columns)):
+            delay = self._mirror_delay_by_tick.get(tick)
+            for i, (r_exp, r_act, psr, sent, received) in enumerate(zip(*values)):
+                shown = round(delay, 3) if (delay is not None and i == 0) else ""
+                rows.append(dict(zip(TICK_CSV_SCHEMA, (
+                    tick, i, r_exp, r_act, round(psr, 6), sent, received, shown))))
         return rows

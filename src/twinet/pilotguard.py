@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import logging
 import struct
-import threading
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -29,6 +28,8 @@ from .link import (
     TOPIC_DT_MODEL_ARTIFACT,
     TOPIC_DT_MODEL_REQUEST,
     LinkEndpoint,
+    MessageEnvelope,
+    TwinService,
 )
 from .mqtt.errors import ChecksumError
 
@@ -466,16 +467,17 @@ class FactoryTiming:
     model_creation_s: float = 0.0
 
 
-class ModelFactoryService:
+class ModelFactoryService(TwinService):
     """Twin-side factory: synthesizes data and trains a model on request."""
+
+    request_kind = "ModelRequest"
 
     def __init__(self, link: LinkEndpoint,
                  n_train: int = DEFAULT_N_TRAIN,
                  n_test: int = DEFAULT_N_TEST):
-        self.link = link
+        super().__init__(link, TOPIC_DT_MODEL_REQUEST)
         self.n_train = n_train
         self.n_test = n_test
-        self.link.subscribe(TOPIC_DT_MODEL_REQUEST)
         self.last_timing: FactoryTiming | None = None
         self.last_request_transfer_s: float = 0.0
         self.last_accuracies: tuple[float, float] | None = None
@@ -498,10 +500,7 @@ class ModelFactoryService:
                                 accuracy(model, x_test, y_test))
         return model, timing
 
-    def serve_one(self, timeout: float | None = 1.0) -> bool:
-        envelope = self.link.poll_envelope(timeout)
-        if envelope is None or envelope.kind != "ModelRequest":
-            return False
+    def handle(self, envelope: MessageEnvelope) -> None:
         self.last_request_transfer_s = max(
             0.0, (envelope.recv_at - envelope.sent_at) / 1e6
         )
@@ -511,11 +510,6 @@ class ModelFactoryService:
         self.link.publish_envelope(
             TOPIC_DT_MODEL_ARTIFACT, "ModelArtifactMsg", encode_model(model)
         )
-        return True
-
-    def run(self, stop: threading.Event) -> None:
-        while not stop.is_set():
-            self.serve_one(timeout=0.1)
 
 
 def run_redeploy_pipeline(bs: BaseStation, bs_link: LinkEndpoint,

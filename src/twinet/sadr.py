@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import json
 import logging
-import threading
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
-from .link import TOPIC_DT_EVAL_RESULT, TOPIC_RW_REQUEST, LinkEndpoint
+from .link import (TOPIC_DT_EVAL_RESULT, TOPIC_RW_REQUEST, LinkEndpoint,
+                   MessageEnvelope, TwinService)
 from .netsim import CellSim, NetworkState, ScenarioConfig
 
 log = logging.getLogger(__name__)
@@ -81,6 +81,17 @@ def per_tick_reward(state: NetworkState) -> float:
     return total
 
 
+def dwell_rewards(sim: CellSim, ticks: int) -> np.ndarray:
+    """Step ``sim`` ``ticks`` ticks at its staged allocation; returns each
+    tick's ``per_tick_reward``, vectorised over the block. UEs are summed in
+    ``per_tick_reward``'s order, so every value is bitwise equal to it."""
+    psr, _ = sim.step_ticks(ticks)
+    total = np.zeros(ticks)
+    for i, (r_exp, r_act) in enumerate(zip(sim.r_exp.tolist(), sim.r_act.tolist())):
+        total += psr[:, i] - ((r_exp - r_act) / r_exp if r_exp > 0 else 0.0)
+    return total
+
+
 @dataclass(frozen=True)
 class TrafficRequest:
     request_id: int
@@ -122,11 +133,11 @@ def twin_evaluate(twin_sim: CellSim, req: TrafficRequest,
                   horizon: int = DEFAULT_HORIZON_TICKS) -> TwinEvaluation:
     """Apply the requested rates to the twin and run it for ``horizon`` ticks."""
     twin_sim.apply_allocation(req.risk_vector)
-    rewards = tuple(per_tick_reward(twin_sim.step_tick()) for _ in range(horizon))
+    rewards = dwell_rewards(twin_sim, horizon)
     return TwinEvaluation(
         request_id=req.request_id,
         twin_reward=float(np.mean(rewards)),
-        per_tick_rewards=rewards,
+        per_tick_rewards=tuple(rewards.tolist()),
     )
 
 
@@ -237,29 +248,22 @@ def twin_sim_for(scenario: ScenarioConfig, request_id: int) -> CellSim:
     return CellSim(reseeded(scenario, request_id))
 
 
-class TwinEvalService:
+class TwinEvalService(TwinService):
     """Twin-side worker: answers EvalRequest envelopes with EvalResult."""
 
-    def __init__(self, link: LinkEndpoint, scenario: ScenarioConfig):
-        self.link = link
-        self.scenario = scenario
-        self.link.subscribe(TOPIC_RW_REQUEST)
+    request_kind = "EvalRequest"
 
-    def serve_one(self, timeout: float | None = 1.0) -> bool:
-        envelope = self.link.poll_envelope(timeout)
-        if envelope is None or envelope.kind != "EvalRequest":
-            return False
+    def __init__(self, link: LinkEndpoint, scenario: ScenarioConfig):
+        super().__init__(link, TOPIC_RW_REQUEST)
+        self.scenario = scenario
+
+    def handle(self, envelope: MessageEnvelope) -> None:
         req, horizon = decode_eval_request(envelope.payload)
         evaluation = twin_evaluate(twin_sim_for(self.scenario, req.request_id),
                                    req, horizon)
         self.link.publish_envelope(
             TOPIC_DT_EVAL_RESULT, "EvalResult", encode_eval_result(evaluation)
         )
-        return True
-
-    def run(self, stop: threading.Event) -> None:
-        while not stop.is_set():
-            self.serve_one(timeout=0.1)
 
 
 # -- twin gates (controller-side transport to the evaluation service) ---------
@@ -322,8 +326,7 @@ def calibrate_app_requirements(scenario: ScenarioConfig,
     """Minimum acceptable reward: mean reward of the moderate-traffic baseline."""
     sim = CellSim(scenario)
     sim.apply_allocation(safe_setup)
-    rewards = [per_tick_reward(sim.step_tick()) for _ in range(horizon)]
-    return float(np.mean(rewards))
+    return float(np.mean(dwell_rewards(sim, horizon)))
 
 
 @dataclass
@@ -376,8 +379,7 @@ def run_escalating_scenario(
                     if decision == DEFER_TO_TWIN:
                         evaluation = gate.result(request_id)
                         controller.on_twin_evaluation_completed(evaluation)
-                rewards = [per_tick_reward(sim.step_tick())
-                           for _ in range(dwell_ticks)]
+                rewards = dwell_rewards(sim, dwell_ticks)
                 result.rows.append({
                     "instance": idx,
                     "arm": arm,

@@ -246,3 +246,36 @@ class TestDeadConnection:
             client.close()
         finally:
             sys.setswitchinterval(switch)
+
+
+class TestConcurrentQos1:
+    def test_own_publishes_complete_while_receiving_qos1(self, broker):
+        # The reader PUBACKs incoming QoS-1 publishes while this client's own
+        # publish waits for its PUBACK; neither may wait on the other.
+        receiver = make_client(broker, "rx", ack_timeout_s=2.0)
+        receiver.subscribe("in/#", 1)
+        sender = make_client(broker, "tx")
+        stop = threading.Event()
+
+        def stream():
+            while not stop.is_set():
+                sender.publish("in/x", b"p" * 64, qos=1)
+
+        streamer = threading.Thread(target=stream, daemon=True)
+        streamer.start()
+        try:
+            deadline = time.monotonic() + 5.0
+            while receiver.messages.qsize() < 20:
+                assert time.monotonic() < deadline, "the QoS-1 stream never arrived"
+                time.sleep(0.005)
+            slowest = 0.0
+            for i in range(50):
+                start = time.monotonic()
+                receiver.publish("out/x", str(i).encode(), qos=1)
+                slowest = max(slowest, time.monotonic() - start)
+        finally:
+            stop.set()
+            streamer.join(timeout=5.0)
+            receiver.close(); sender.close()
+        assert not streamer.is_alive()
+        assert slowest < 0.5

@@ -162,3 +162,69 @@ class TestMirroring:
                     twin.apply_mirror_update(env)
             return [twin.step_tick() for _ in range(5)]
         assert mirror(1) == mirror(2)
+
+
+# Allocation plan for the oracle tests: rates, then ticks at those rates.
+# Covers a change mid-run, zero demand and an over-capacity demand.
+PLAN = (((4.0, 4.0, 4.0), 3), ((0.0, 0.0, 0.0), 2), ((1.0, 0.0, 2.5), 3))
+
+
+def run_plan(s, blocks):
+    for rates, ticks in PLAN:
+        s.apply_allocation(rates)
+        if blocks:
+            s.step_ticks(ticks)
+        else:
+            for _ in range(ticks):
+                s.step_tick()
+    return s
+
+
+class TestStepTicks:
+    @pytest.mark.parametrize("sigma", [0.0, 0.05])
+    def test_block_equals_single_ticks(self, sigma):
+        single, block = run_plan(sim(sigma, seed=11), False), run_plan(sim(sigma, seed=11), True)
+        assert block.tick_index == single.tick_index == 8
+        assert block.tick_log == single.tick_log
+        assert block.tick_rows() == single.tick_rows()
+        assert block.rng.bit_generator.state == single.rng.bit_generator.state
+
+    def test_block_returns_its_rows(self):
+        s = sim(sigma=0.05, seed=3)
+        s.apply_allocation([4.0, 4.0, 4.0])
+        s.step_ticks(4)
+        psr, received = s.step_ticks(5)
+        assert psr.shape == received.shape == (5, 3)
+        log = s.tick_log[4:]
+        assert psr.tolist() == [[ue.psr for ue in t.ues] for t in log]
+        assert received.tolist() == [[ue.packets_received for ue in t.ues] for t in log]
+
+    def test_zero_count_and_history_growth(self):
+        s = sim(sigma=0.05, seed=4)
+        s.apply_allocation([3.0, 3.0, 3.0])
+        assert s.step_ticks(0)[0].shape == (0, 3)
+        assert s.tick_index == 0 and s.last_state is None
+        for _ in range(37):  # grows the history several times
+            s.step_tick()
+        assert len(s.tick_log) == 37
+        assert s.last_state == s.tick_log[-1] and s.last_state.tick_index == 36
+        with pytest.raises(ValueError):
+            s.step_ticks(-1)
+
+    def test_golden_ticks(self):
+        # Recorded with the per-tick simulator that predates step_ticks: a
+        # change to the random stream or its order must fail here.
+        s = run_plan(sim(sigma=0.05, seed=11), True)
+        assert [tuple(ue.psr for ue in t.ues) for t in s.tick_log] == [
+            (0.7517096383626592, 0.8179873770154981, 0.8112360539292967),
+            (0.778486317878598, 0.7471967780477191, 0.7873442808128271),
+            (0.7840189226637073, 0.7431716833011586, 0.7310450716462573),
+            (1.0, 1.0, 1.0), (1.0, 1.0, 1.0),
+            (0.9923606910714902, 1.0, 0.9564829679026414),
+            (0.9664717088156061, 0.9039829704940986, 0.959297316802732),
+            (0.9253768057968483, 1.0, 1.0),
+        ]
+        assert [tuple(ue.packets_received for ue in t.ues) for t in s.tick_log] == [
+            (35, 35, 29), (30, 31, 32), (29, 29, 29), (0, 0, 0), (0, 0, 0),
+            (10, 0, 24), (10, 0, 23), (10, 0, 25),
+        ]

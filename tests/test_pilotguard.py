@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from twinet import pilotguard as pg
+from twinet.link import LinkEndpoint
 from twinet.mqtt.errors import ChecksumError
 
 
@@ -335,3 +336,29 @@ class TestSwapAtomicity:
         for t in threads:
             t.join()
         assert violations == []
+
+
+class TestModelFactoryService:
+    def test_malformed_payload_does_not_stop_the_service(self, broker):
+        config = small_config()
+        stop = threading.Event()
+        with LinkEndpoint("dt", broker.host, broker.port) as dt_link, \
+             LinkEndpoint("bs", broker.host, broker.port) as bs_link:
+            factory = pg.ModelFactoryService(dt_link, n_train=100, n_test=20)
+            bs_link.subscribe(pg.TOPIC_DT_MODEL_ARTIFACT)
+            worker = threading.Thread(target=factory.run, args=(stop,), daemon=True)
+            worker.start()
+            try:
+                for bad in (b"{}", b"[1, 2]", b'{"K": 16, "pilot_indices": [99],'
+                            b' "scenario_label": "x", "seed": 1}'):
+                    bs_link.publish_envelope(pg.TOPIC_DT_MODEL_REQUEST, "ModelRequest", bad)
+                bs_link.publish_envelope(pg.TOPIC_DT_MODEL_REQUEST, "ModelRequest",
+                                         pg.encode_model_request(config, 7))
+                envelope = bs_link.poll_envelope(timeout=10.0)
+            finally:
+                stop.set()
+                worker.join(timeout=5.0)
+        assert not worker.is_alive()
+        assert envelope is not None and envelope.kind == "ModelArtifactMsg"
+        assert pg.decode_model(envelope.payload).pilot_config == config
+        assert dt_link.decode_errors == 3

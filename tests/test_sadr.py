@@ -20,6 +20,7 @@ from twinet.sadr import (
     calibrate_app_requirements,
     compute_risk,
     default_instances,
+    dwell_rewards,
     map_action_to_rate,
     per_tick_reward,
     run_escalating_scenario,
@@ -90,6 +91,19 @@ class TestPerTickReward:
             psr = rng.uniform(0, 1, n)
             state = make_state(psr, r_exp, r_act)
             assert per_tick_reward(state) <= n + 1e-12
+
+
+class TestBlockRewards:
+    def test_equals_per_tick_reward_over_tick_log(self):
+        sim = CellSim(ScenarioConfig(psr_noise_sigma=0.05, seed=9))
+        blocks = []
+        for rates, expected, ticks in (((4.0, 4.0, 4.0), None, 7),
+                                       ((1.0, 0.0, 2.5), (3.0, 0.0, 2.5), 5),
+                                       ((0.0, 0.0, 0.0), None, 2),
+                                       ((0.5, 4.5, 3.0), (4.5, 4.5, 4.5), 6)):
+            sim.apply_allocation(rates, expected)
+            blocks.append(dwell_rewards(sim, ticks))
+        assert np.concatenate(blocks).tolist() == [per_tick_reward(s) for s in sim.tick_log]
 
 
 class TestTwinEvaluate:
@@ -209,6 +223,28 @@ class TestEscalatingScenario:
         assert result.mean_reward("ungated") == pytest.approx(2.0)
         assert result.mean_reward("gated") == pytest.approx(3.0)
 
+    def test_golden_scenario(self):
+        # Recorded with the per-tick simulator that predates step_ticks: a
+        # change to the random stream or its order must fail here.
+        scenario = ScenarioConfig(seed=12)
+        safe = (1.5, 1.5, 1.5)
+        app_req = calibrate_app_requirements(scenario, safe, horizon=20)
+        assert app_req == 2.981427701594035
+        config = SadrConfig(risk_threshold=0.8, app_requirements=app_req,
+                            safe_setup=safe, twin_horizon_ticks=10)
+        result = run_escalating_scenario(scenario, config, repetitions=1,
+                                         dwell_ticks=15,
+                                         instances=[(1, 1, 1), (6, 6, 6), (9, 9, 9)])
+        assert [r["mean_reward"] for r in result.rows] == [
+            2.978428928, 2.978758178, 2.979555893,
+            2.978428928, 2.978758178, 2.004829562]
+        evaluation = twin_evaluate(twin_sim_for(scenario, 3),
+                                   TrafficRequest(3, (8, 8, 8), (4.0, 4.0, 4.0)), 5)
+        assert evaluation.twin_reward == 2.2417379976754
+        assert evaluation.per_tick_rewards == (
+            2.261870846997307, 2.2292872599075384, 2.258479715271956,
+            2.268306366514832, 2.1907457996853683)
+
     def test_default_instances_escalate(self):
         instances = default_instances(3)
         demands = [sum(map_action_to_rate(a) for a in inst)
@@ -255,3 +291,26 @@ class TestTwinEvalService:
         local.send(req)
         assert evaluation == local.result(3)
         assert twin_link.decode_errors == 2
+
+    def test_malformed_payload_does_not_stop_the_service(self, broker):
+        scenario = ScenarioConfig(psr_noise_sigma=0.0, seed=4)
+        stop = threading.Event()
+        with LinkEndpoint("twin", broker.host, broker.port) as twin_link, \
+             LinkEndpoint("ctrl", broker.host, broker.port) as ctrl_link:
+            service = TwinEvalService(twin_link, scenario)
+            worker = threading.Thread(target=service.run, args=(stop,),
+                                      daemon=True)
+            worker.start()
+            try:
+                gate = LinkTwinGate(ctrl_link, horizon=5)
+                for bad in (b"{}", b"not json", b'{"request_id":1,'
+                            b'"rates_mbps":[1.0],"horizon_ticks":5}'):
+                    ctrl_link.publish_envelope(TOPIC_RW_REQUEST, "EvalRequest", bad)
+                gate.send(TrafficRequest(3, (9, 9, 9), (4.5, 4.5, 4.5)))
+                evaluation = gate.result(3, timeout=5.0)
+            finally:
+                stop.set()
+                worker.join(timeout=5.0)
+        assert not worker.is_alive()
+        assert evaluation.request_id == 3
+        assert twin_link.decode_errors == 3
