@@ -131,9 +131,10 @@ class MqttClient:
         try:
             while (packet := read_packet(stream)) is not None:
                 if isinstance(packet, Publish):
+                    recv_ns = time.time_ns()  # on arrival, before this client's ack
                     if packet.qos == 1:
                         self._send(PubAck(packet.packet_id))
-                    self.messages.put((packet.topic, packet.payload, time.time_ns()))
+                    self.messages.put((packet.topic, packet.payload, recv_ns))
                 elif isinstance(packet, (SubAck, PubAck, PingResp)):
                     acks.put(packet)
         except (CodecError, OSError, ValueError) as exc:

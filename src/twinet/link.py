@@ -22,7 +22,10 @@ dt/model/request, dt/model/artifact, bench/ping/<dir>, bench/pong/<dir>.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import logging
+import os
 import statistics
 import struct
 import threading
@@ -53,6 +56,16 @@ TOPIC_DT_MODEL_ARTIFACT = "dt/model/artifact"
 
 BENCH_SIZES = (1, 100, 1_000, 10_000, 100_000, 1_000_000)
 BENCH_SAMPLES = 100
+# A size's samples are spread over this many rounds of every size, so that
+# the host's drift over the run falls on all sizes alike.
+BENCH_ROUNDS = 100
+# Unmeasured messages of a size before its samples in a round: the first
+# message after a 1 MB one runs 0.1-0.3 ms slower while its buffers are freed.
+BENCH_WARMUPS = 2
+# Yields before each bench message, so the last message's trailing work (its
+# PUBACKs, the readers going back to their reads) is done before the next
+# stamp on the bench's one CPU.
+_SETTLE_YIELDS = 3
 
 BENCH_CSV_SCHEMA = ["size_bytes", "direction", "mean_ms", "p50_ms", "p99_ms", "n"]
 
@@ -262,6 +275,62 @@ class LatencyReport:
         }
 
 
+@contextlib.contextmanager
+def _threads_on_one_cpu():
+    """Keep every thread of this process on one CPU, then restore each mask.
+
+    A bench message is handed from thread to thread (client, broker, reader);
+    on a shared VM a hand-off that wakes another CPU costs a wake-up whose
+    price swings with the host's load, and it drifts from one block of
+    samples to the next by more than the gap between small payload sizes.
+    Threads started inside inherit the mask of the thread that starts them.
+    Where thread affinity cannot be set, the bench runs unpinned.
+    """
+    try:
+        own = os.sched_getaffinity(0)
+        saved = {int(tid): os.sched_getaffinity(int(tid))
+                 for tid in os.listdir("/proc/self/task")}
+    except (AttributeError, OSError):
+        yield
+        return
+    cpu = {max(own)}
+    for tid in saved:
+        with contextlib.suppress(OSError):
+            os.sched_setaffinity(tid, cpu)
+    try:
+        yield
+    finally:
+        with contextlib.suppress(OSError):
+            for tid in os.listdir("/proc/self/task"):
+                with contextlib.suppress(OSError):
+                    os.sched_setaffinity(int(tid), saved.get(int(tid), own))
+
+
+@contextlib.contextmanager
+def _gc_paused():
+    """No collector pause inside a sample; as ``timeit`` does."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _bench_ping(sender: LinkEndpoint, receiver: LinkEndpoint, topic: str,
+                payload: bytes, direction: str) -> float:
+    """Send one bench message and wait for it; returns its latency in ms."""
+    for _ in range(_SETTLE_YIELDS):
+        os.sched_yield()
+    sender.publish_envelope(topic, "BenchPing", payload)
+    received = receiver.poll_envelope(timeout=30.0)
+    if received is None:
+        raise TimeoutError(
+            f"bench ping lost at size {len(payload)} ({direction})")
+    return (received.recv_at - received.sent_at) / 1_000.0
+
+
 def run_latency_bench(host: str, port: int,
                       sizes=BENCH_SIZES,
                       samples_per_size: int = BENCH_SAMPLES,
@@ -272,38 +341,47 @@ def run_latency_bench(host: str, port: int,
     latency is the direct difference between receive time and the publish
     stamp. Samples are serialized (send, wait for receipt) to keep the
     broker idle; negative samples from clock jitter are discarded and counted.
+    Every thread of this process, an in-process broker's included, runs on
+    one CPU while the bench runs, and the garbage collector is paused.
+    Sizes are interleaved: each of up to ``BENCH_ROUNDS`` rounds takes a
+    share of every size's samples, each share after ``BENCH_WARMUPS``
+    unmeasured messages of its size.
     """
     import random
 
     rng = rng or random.Random(0)
-    reports: list[LatencyReport] = []
-    with LinkEndpoint("bench-real", host, port, qos=1) as real, \
+    rounds = max(1, min(BENCH_ROUNDS, samples_per_size))
+    with _threads_on_one_cpu(), \
+         LinkEndpoint("bench-real", host, port, qos=1) as real, \
          LinkEndpoint("bench-twin", host, port, qos=1) as twin:
         real.subscribe("bench/ping/dt2rw")
         twin.subscribe("bench/ping/rw2dt")
         pairs = [("real->twin", real, twin, "bench/ping/rw2dt"),
                  ("twin->real", twin, real, "bench/ping/dt2rw")]
+        reports = {(size, direction): LatencyReport(size, direction)
+                   for size in sizes for direction, *_ in pairs}
         # warm-up: prime sockets and codec paths outside the measurements
-        for _, sender, receiver, topic in pairs:
-            sender.publish_envelope(topic, "BenchPing", b"x")
-            receiver.poll_envelope(timeout=5.0)
-        for size in sizes:
-            for direction, sender, receiver, topic in pairs:
-                report = LatencyReport(payload_size=size, direction=direction)
-                for _ in range(samples_per_size):
-                    payload = rng.randbytes(size)
-                    sender.publish_envelope(topic, "BenchPing", payload)
-                    received = receiver.poll_envelope(timeout=30.0)
-                    if received is None:
-                        raise TimeoutError(
-                            f"bench ping lost at size {size} ({direction})"
-                        )
-                    latency_ms = (received.recv_at - received.sent_at) / 1_000.0
-                    if latency_ms < 0:
-                        report.discarded += 1
-                    else:
-                        report.samples_ms.append(latency_ms)
-                reports.append(report)
-                log.info("bench %s %dB mean=%.3fms", direction, size,
-                         report.mean_ms)
-    return reports
+        for direction, sender, receiver, topic in pairs:
+            _bench_ping(sender, receiver, topic, b"x", direction)
+        with _gc_paused():
+            for round_index in range(rounds):
+                count = (samples_per_size // rounds
+                         + (round_index < samples_per_size % rounds))
+                for size in sizes:
+                    for direction, sender, receiver, topic in pairs:
+                        report = reports[(size, direction)]
+                        for _ in range(BENCH_WARMUPS):
+                            _bench_ping(sender, receiver, topic,
+                                        rng.randbytes(size), direction)
+                        for _ in range(count):
+                            latency_ms = _bench_ping(sender, receiver, topic,
+                                                     rng.randbytes(size),
+                                                     direction)
+                            if latency_ms < 0:
+                                report.discarded += 1
+                            else:
+                                report.samples_ms.append(latency_ms)
+    for report in reports.values():
+        log.info("bench %s %dB mean=%.3fms", report.direction,
+                 report.payload_size, report.mean_ms)
+    return list(reports.values())
