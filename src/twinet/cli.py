@@ -12,7 +12,6 @@ from __future__ import annotations
 import logging
 import os
 import random
-import threading
 import time
 
 import click
@@ -125,26 +124,18 @@ def run_sadr_experiment(scenario: ScenarioConfig,
                         dwell_ticks: int = 600,
                         arms: tuple[str, ...] = ("gated", "ungated")):
     """Both scenario arms with twin evaluations served over the broker."""
-    stop = threading.Event()
     with LinkEndpoint("sadr-twin", host, port, qos=1) as twin_link, \
-         LinkEndpoint("sadr-ctrl", host, port, qos=1) as ctrl_link:
-        service = sadr_mod.TwinEvalService(twin_link, scenario)
-        worker = threading.Thread(target=service.run, args=(stop,),
-                                  name="twin-eval", daemon=True)
-        worker.start()
-        try:
-            gate = sadr_mod.LinkTwinGate(ctrl_link,
-                                         sadr_config.twin_horizon_ticks)
-            result = sadr_mod.run_escalating_scenario(
-                scenario, sadr_config,
-                gate_factory=lambda: gate,
-                repetitions=repetitions,
-                dwell_ticks=dwell_ticks,
-                arms=arms,
-            )
-        finally:
-            stop.set()
-            worker.join(timeout=5.0)
+         LinkEndpoint("sadr-ctrl", host, port, qos=1) as ctrl_link, \
+         sadr_mod.TwinEvalService(twin_link, scenario).serving():
+        gate = sadr_mod.LinkTwinGate(ctrl_link,
+                                     sadr_config.twin_horizon_ticks)
+        result = sadr_mod.run_escalating_scenario(
+            scenario, sadr_config,
+            gate_factory=lambda: gate,
+            repetitions=repetitions,
+            dwell_ticks=dwell_ticks,
+            arms=arms,
+        )
     return result
 
 
@@ -152,40 +143,33 @@ def run_pilot_scenario(label: str, host: str, port: int, seed: int = 0,
                        n_train: int = pg.DEFAULT_N_TRAIN,
                        n_test: int = pg.DEFAULT_N_TEST):
     """One channel scenario end to end: detect, relocate, retrain, redeploy."""
-    stop = threading.Event()
     with LinkEndpoint(f"pilot-dt-{label}", host, port, qos=1) as dt_link, \
-         LinkEndpoint(f"pilot-bs-{label}", host, port, qos=1) as bs_link:
+         LinkEndpoint(f"pilot-bs-{label}", host, port, qos=1) as bs_link, \
+         pg.ModelFactoryService(dt_link, n_train=n_train,
+                                n_test=n_test).serving() as factory:
         bs_link.subscribe(TOPIC_DT_MODEL_ARTIFACT)
-        factory = pg.ModelFactoryService(dt_link, n_train=n_train, n_test=n_test)
-        worker = threading.Thread(target=factory.run, args=(stop,),
-                                  name=f"factory-{label}", daemon=True)
-        worker.start()
-        try:
-            pilots = pg.PilotConfig.for_scenario(label, seed)
-            boot_model, _ = factory.build_model(pilots, seed)
-            bs = pg.BaseStation(boot_model)
-            rng = np.random.default_rng(seed + 1)
+        pilots = pg.PilotConfig.for_scenario(label, seed)
+        boot_model, _ = factory.build_model(pilots, seed)
+        bs = pg.BaseStation(boot_model)
+        rng = np.random.default_rng(seed + 1)
 
-            clean_events = bs.detect_loop(
-                pg.generate_frame(pilots, 0, rng) for _ in range(20)
-            )
-            jam_events = bs.detect_loop(
-                pg.generate_frame(pilots, 1, rng) for _ in range(5)
-            )
-            if len(jam_events) != 1:
-                raise RuntimeError(f"expected one jam event, got {jam_events}")
-            jammed_pilot = pilots.pilot_indices[jam_events[0].jam_class - 1]
-            new_pilots = pg.select_new_pilots(pilots, jammed_pilot, seed=seed + 2)
-            model, timing = pg.run_redeploy_pipeline(
-                bs, bs_link, factory, new_pilots, seed=seed + 3
-            )
-            post_events = bs.detect_loop(
-                pg.generate_frame(new_pilots, 1, rng) for _ in range(5)
-            )
-            train_acc, test_acc = factory.last_accuracies
-        finally:
-            stop.set()
-            worker.join(timeout=5.0)
+        clean_events = bs.detect_loop(
+            pg.generate_frame(pilots, 0, rng) for _ in range(20)
+        )
+        jam_events = bs.detect_loop(
+            pg.generate_frame(pilots, 1, rng) for _ in range(5)
+        )
+        if len(jam_events) != 1:
+            raise RuntimeError(f"expected one jam event, got {jam_events}")
+        jammed_pilot = pilots.pilot_indices[jam_events[0].jam_class - 1]
+        new_pilots = pg.select_new_pilots(pilots, jammed_pilot, seed=seed + 2)
+        model, timing = pg.run_redeploy_pipeline(
+            bs, bs_link, factory, new_pilots, seed=seed + 3
+        )
+        post_events = bs.detect_loop(
+            pg.generate_frame(new_pilots, 1, rng) for _ in range(5)
+        )
+        train_acc, test_acc = factory.last_accuracies
     return {
         "accuracy_row": {
             "channel_size": label,

@@ -54,6 +54,9 @@ TOPIC_DT_EVAL_RESULT = "dt/eval/result"
 TOPIC_DT_MODEL_REQUEST = "dt/model/request"
 TOPIC_DT_MODEL_ARTIFACT = "dt/model/artifact"
 
+# How long ``TwinService.serving`` waits for its thread to stop on exit.
+SERVICE_JOIN_TIMEOUT_S = 5.0
+
 BENCH_SIZES = (1, 100, 1_000, 10_000, 100_000, 1_000_000)
 BENCH_SAMPLES = 100
 # A size's samples are spread over this many rounds of every size, so that
@@ -123,6 +126,16 @@ def decode_envelope(data: bytes) -> MessageEnvelope:
         raise EnvelopeError(f"envelope topic is not UTF-8: {exc}") from exc
     return MessageEnvelope(topic=topic, seq=seq, sent_at=sent_at,
                            kind=KINDS[kind], payload=data[end:])
+
+
+def unpack_payload(header: str, payload: bytes) -> tuple:
+    """Unpack a payload laid out as the ``struct`` format ``header`` followed
+    by whole big-endian f8 values; returns the header fields, then the values."""
+    count, partial = divmod(len(payload) - struct.calcsize(header), 8)
+    if count < 0 or partial:
+        raise EnvelopeError(f"a {len(payload)} B payload is not a {header!r}"
+                            " header followed by whole f8 values")
+    return struct.unpack(f"{header}{count}d", payload)
 
 
 def now_us() -> int:
@@ -204,6 +217,12 @@ class LinkEndpoint:
             self._last_seen_seq[key] = max(envelope.seq, last or 0)
             return envelope
 
+    def drop(self, envelope: MessageEnvelope, exc: Exception) -> None:
+        """Log and count an envelope whose payload cannot be decoded or served."""
+        self.decode_errors += 1
+        log.warning("dropped malformed %s on %s (%d B): %r", envelope.kind,
+                    envelope.topic, len(envelope.payload), exc)
+
 
 class TwinService:
     """Twin-side request loop over a link: answers ``request_kind`` envelopes.
@@ -229,15 +248,32 @@ class TwinService:
         try:
             self.handle(envelope)
         except (KeyError, TypeError, ValueError) as exc:
-            self.link.decode_errors += 1
-            log.warning("dropped malformed %s on %s (%d B): %r", envelope.kind,
-                        envelope.topic, len(envelope.payload), exc)
+            self.link.drop(envelope, exc)
             return False
         return True
 
     def run(self, stop: threading.Event) -> None:
         while not stop.is_set():
             self.serve_one(timeout=0.1)
+
+    @contextlib.contextmanager
+    def serving(self):
+        """Run ``run`` on a daemon thread for the ``with`` block, then stop and
+        join it. Raises RuntimeError if the thread is still alive
+        ``SERVICE_JOIN_TIMEOUT_S`` later, so a stuck service is not left
+        running unseen."""
+        stop = threading.Event()
+        worker = threading.Thread(target=self.run, args=(stop,),
+                                  name=type(self).__name__, daemon=True)
+        worker.start()
+        try:
+            yield self
+        finally:
+            stop.set()
+            worker.join(timeout=SERVICE_JOIN_TIMEOUT_S)
+            if worker.is_alive():
+                raise RuntimeError(f"{worker.name} did not stop within "
+                                   f"{SERVICE_JOIN_TIMEOUT_S} s")
 
 
 # -- latency benchmark -------------------------------------------------------

@@ -24,7 +24,3 @@ class BadTopicError(CodecError):
 
 class FilterError(ValueError):
     """Topic filter violates wildcard placement rules."""
-
-
-class ChecksumError(CodecError):
-    """Trailing checksum does not match the payload."""

@@ -11,16 +11,19 @@ Packet size is fixed at 1250 bytes so 1 Mbps corresponds to 100 packets/s.
 
 from __future__ import annotations
 
-import json
+import struct
 import time
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .link import TOPIC_RW_TRAFFIC, LinkEndpoint, MessageEnvelope
+from .link import (TOPIC_RW_TRAFFIC, LinkEndpoint, MessageEnvelope,
+                   unpack_payload)
 
 PACKETS_PER_MBPS = 100.0  # 1 Mbps / (1250 B * 8 b/B) packets per second
+
+_TRAFFIC_UPDATE = ">Q"  # tick; then an f8 rate per UE
 
 TICK_CSV_SCHEMA = ["tick", "ue", "r_exp", "r_act", "psr", "sent", "received",
                    "mirror_delay_ms"]
@@ -203,9 +206,8 @@ class CellSim:
         if not self.tick_index:
             raise RuntimeError("no tick has been stepped yet")
         rates = self._history["r_act"][self.tick_index - 1].tolist()
-        payload = json.dumps({"tick": self.tick_index - 1, "rates_mbps": rates,
-                              "packets_per_s": [r * PACKETS_PER_MBPS for r in rates]},
-                             separators=(",", ":")).encode("utf-8")
+        payload = struct.pack(f"{_TRAFFIC_UPDATE}{len(rates)}d",
+                              self.tick_index - 1, *rates)
         return link.publish_envelope(topic, "TrafficUpdate", payload)
 
     def apply_mirror_update(self, envelope: MessageEnvelope) -> float | None:
@@ -216,12 +218,12 @@ class CellSim:
         """
         if envelope.kind != "TrafficUpdate":
             raise ValueError(f"not a TrafficUpdate envelope: {envelope.kind}")
-        update = json.loads(envelope.payload)
-        if update["tick"] <= self.last_applied_update_tick:
+        tick, *rates = unpack_payload(_TRAFFIC_UPDATE, envelope.payload)
+        if tick <= self.last_applied_update_tick:
             self.stale_updates += 1
             return None
-        self.apply_allocation(update["rates_mbps"])
-        self.last_applied_update_tick = update["tick"]
+        self.apply_allocation(rates)
+        self.last_applied_update_tick = tick
         delay_ms = (time.time_ns() // 1_000 - envelope.sent_at) / 1_000.0
         self.mirror_delays_ms.append(delay_ms)
         self._mirror_delay_by_tick[self.tick_index] = delay_ms  # applies next tick

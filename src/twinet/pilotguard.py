@@ -14,7 +14,6 @@ log-normally, with additive jammer power on the attacked pilot.
 
 from __future__ import annotations
 
-import json
 import logging
 import struct
 import time
@@ -31,7 +30,6 @@ from .link import (
     MessageEnvelope,
     TwinService,
 )
-from .mqtt.errors import ChecksumError
 
 log = logging.getLogger(__name__)
 
@@ -75,6 +73,10 @@ class BadMagicError(ModelFormatError):
 
 class UnknownVersionError(ModelFormatError):
     pass
+
+
+class ChecksumError(ModelFormatError):
+    """Trailing checksum does not match the artifact body."""
 
 
 class TrainingDivergedError(RuntimeError):
@@ -308,42 +310,55 @@ def encode_model(model: ClassifierModel) -> bytes:
     return body + struct.pack(">I", zlib.crc32(body))
 
 
+@dataclass
+class _BlobReader:
+    """Reads a model artifact or a model request front to back. A read past
+    the end, or a label that is not UTF-8, raises ModelFormatError."""
+
+    data: bytes
+    offset: int = 0
+
+    def take(self, size: int) -> bytes:
+        end = self.offset + size
+        if end > len(self.data):
+            raise ModelFormatError(
+                f"truncated: {end} B needed, {len(self.data)} B given")
+        chunk, self.offset = self.data[self.offset : end], end
+        return chunk
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def label(self, size: int) -> str:
+        try:
+            return str(self.take(size), "utf-8")
+        except UnicodeDecodeError as exc:
+            raise ModelFormatError(f"label is not UTF-8: {exc}") from exc
+
+    def floats(self, count: int) -> np.ndarray:
+        return np.frombuffer(self.take(8 * count), dtype=">f8").astype(np.float64)
+
+
 def decode_model(blob: bytes) -> ClassifierModel:
     if len(blob) < 4 or blob[:4] != MODEL_MAGIC:
         raise BadMagicError("artifact does not start with the model magic")
     body, checksum = blob[:-4], blob[-4:]
     if struct.unpack(">I", checksum)[0] != zlib.crc32(body):
         raise ChecksumError("model artifact checksum mismatch")
-    offset = 4
-    try:
-        version, k, p, seed, label_len = struct.unpack_from(">HHHQH", body, offset)
-    except struct.error as exc:
-        raise ModelFormatError(f"model artifact header truncated: {exc}") from exc
+    reader = _BlobReader(body, offset=4)
+    version, k, p, seed, label_len = reader.unpack(">HHHQH")
     if version != MODEL_VERSION:
         raise UnknownVersionError(f"unsupported model version {version}")
-    offset += struct.calcsize(">HHHQH")
-    label = body[offset : offset + label_len].decode("utf-8")
-    offset += label_len
-    pilot_indices = struct.unpack_from(f">{p}H", body, offset)
-    offset += 2 * p
+    label = reader.label(label_len)
+    pilot_indices = reader.unpack(f">{p}H")
     n_classes = p + 1
-
-    def take(count: int) -> np.ndarray:
-        nonlocal offset
-        size = count * 8
-        if offset + size > len(body):
-            raise ModelFormatError("model artifact truncated")
-        array = np.frombuffer(body[offset : offset + size], dtype=">f8")
-        offset += size
-        return array.astype(np.float64)
-
-    weights = take(n_classes * k).reshape(n_classes, k)
-    bias = take(n_classes)
-    mean = take(k)
-    std = take(k)
-    if offset != len(body):
+    weights = reader.floats(n_classes * k).reshape(n_classes, k)
+    bias = reader.floats(n_classes)
+    mean = reader.floats(k)
+    std = reader.floats(k)
+    if reader.offset != len(body):
         raise ModelFormatError("trailing bytes in model artifact")
-    config = PilotConfig(k, tuple(int(i) for i in pilot_indices), label)
+    config = PilotConfig(k, pilot_indices, label)
     return ClassifierModel(weights=weights, bias=bias, pilot_config=config,
                            norm_stats=NormStats(mean, std),
                            version=version, seed=seed)
@@ -441,23 +456,22 @@ class BaseStation:
         return events
 
 
+# K, seed, pilot count; then the pilot indices as u16, then the UTF-8 label
+_MODEL_REQUEST = ">HQH"
+
+
 def encode_model_request(pilots: PilotConfig, seed: int) -> bytes:
-    return json.dumps(
-        {
-            "K": pilots.n_subcarriers,
-            "pilot_indices": list(pilots.pilot_indices),
-            "scenario_label": pilots.label,
-            "seed": seed,
-        },
-        separators=(",", ":"),
-    ).encode("utf-8")
+    n = pilots.n_pilots
+    return struct.pack(f"{_MODEL_REQUEST}{n}H", pilots.n_subcarriers, seed, n,
+                       *pilots.pilot_indices) + pilots.label.encode("utf-8")
 
 
 def decode_model_request(payload: bytes) -> tuple[PilotConfig, int]:
-    obj = json.loads(payload)
-    config = PilotConfig(obj["K"], tuple(obj["pilot_indices"]),
-                        obj["scenario_label"])
-    return config, obj["seed"]
+    reader = _BlobReader(payload)
+    k, seed, p = reader.unpack(_MODEL_REQUEST)
+    pilot_indices = reader.unpack(f">{p}H")
+    label = reader.label(len(payload) - reader.offset)
+    return PilotConfig(k, pilot_indices, label), seed
 
 
 @dataclass

@@ -14,15 +14,16 @@ twin side; the controller only awaits the EvalResult envelope.
 
 from __future__ import annotations
 
-import json
 import logging
+import struct
+import time
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
-from .link import (TOPIC_DT_EVAL_RESULT, TOPIC_RW_REQUEST, LinkEndpoint,
-                   MessageEnvelope, TwinService)
+from .link import (TOPIC_DT_EVAL_RESULT, TOPIC_RW_REQUEST, EnvelopeError,
+                   LinkEndpoint, MessageEnvelope, TwinService, unpack_payload)
 from .netsim import CellSim, NetworkState, ScenarioConfig
 
 log = logging.getLogger(__name__)
@@ -196,45 +197,33 @@ class SadrController:
 # -- envelope payloads --------------------------------------------------------
 
 
+_EVAL_REQUEST = ">QI"  # request_id, horizon; then an f8 rate per UE
+_EVAL_RESULT = ">Qd"  # request_id, twin_reward; then an f8 reward per tick
+
+
 def encode_eval_request(req: TrafficRequest, horizon: int) -> bytes:
-    return json.dumps(
-        {
-            "request_id": req.request_id,
-            "rates_mbps": list(req.risk_vector),
-            "horizon_ticks": horizon,
-        },
-        separators=(",", ":"),
-    ).encode("utf-8")
+    rates = req.risk_vector
+    return struct.pack(f"{_EVAL_REQUEST}{len(rates)}d", req.request_id,
+                       horizon, *rates)
 
 
 def decode_eval_request(payload: bytes) -> tuple[TrafficRequest, int]:
-    obj = json.loads(payload)
-    req = TrafficRequest(
-        request_id=obj["request_id"],
-        action_indices=(),
-        risk_vector=tuple(obj["rates_mbps"]),
-    )
-    return req, obj["horizon_ticks"]
+    request_id, horizon, *rates = unpack_payload(_EVAL_REQUEST, payload)
+    req = TrafficRequest(request_id=request_id, action_indices=(),
+                         risk_vector=tuple(rates))
+    return req, horizon
 
 
 def encode_eval_result(evaluation: TwinEvaluation) -> bytes:
-    return json.dumps(
-        {
-            "request_id": evaluation.request_id,
-            "twin_reward": evaluation.twin_reward,
-            "per_tick_rewards": list(evaluation.per_tick_rewards),
-        },
-        separators=(",", ":"),
-    ).encode("utf-8")
+    rewards = evaluation.per_tick_rewards
+    return struct.pack(f"{_EVAL_RESULT}{len(rewards)}d", evaluation.request_id,
+                       evaluation.twin_reward, *rewards)
 
 
 def decode_eval_result(payload: bytes) -> TwinEvaluation:
-    obj = json.loads(payload)
-    return TwinEvaluation(
-        request_id=obj["request_id"],
-        twin_reward=obj["twin_reward"],
-        per_tick_rewards=tuple(obj["per_tick_rewards"]),
-    )
+    request_id, twin_reward, *rewards = unpack_payload(_EVAL_RESULT, payload)
+    return TwinEvaluation(request_id=request_id, twin_reward=twin_reward,
+                          per_tick_rewards=tuple(rewards))
 
 
 def reseeded(scenario: ScenarioConfig, *keys: int) -> ScenarioConfig:
@@ -302,13 +291,21 @@ class LinkTwinGate:
         )
 
     def result(self, request_id: int, timeout: float = 30.0) -> TwinEvaluation:
-        envelope = self.link.poll_envelope(timeout)
-        while envelope is not None:
-            if envelope.kind == "EvalResult":
+        """The twin's evaluation of ``request_id``, waiting at most ``timeout``
+        seconds in all. Results for other requests are skipped; one that does
+        not decode is logged, counted in the link's decode_errors and skipped."""
+        deadline = time.monotonic() + timeout
+        while (remaining := deadline - time.monotonic()) > 0:
+            envelope = self.link.poll_envelope(remaining)
+            if envelope is None or envelope.kind != "EvalResult":
+                continue
+            try:
                 evaluation = decode_eval_result(envelope.payload)
-                if evaluation.request_id == request_id:
-                    return evaluation
-            envelope = self.link.poll_envelope(timeout)
+            except EnvelopeError as exc:
+                self.link.drop(envelope, exc)
+                continue
+            if evaluation.request_id == request_id:
+                return evaluation
         raise TimeoutError(f"no twin evaluation for request {request_id}")
 
 

@@ -1,13 +1,16 @@
 import random
+import threading
 import time
 
 import pytest
 from hypothesis import given, strategies as st
 
+from twinet import link as link_mod
 from twinet.link import (
     EnvelopeError,
     LinkEndpoint,
     MessageEnvelope,
+    TwinService,
     decode_envelope,
     encode_envelope,
     run_latency_bench,
@@ -170,3 +173,23 @@ class TestLatencyBench:
             row = report.to_row()
             assert set(row) == {"size_bytes", "direction", "mean_ms",
                                 "p50_ms", "p99_ms", "n"}
+
+
+class TestTwinService:
+    def test_serving_raises_when_the_thread_does_not_stop(self, broker,
+                                                          monkeypatch):
+        monkeypatch.setattr(link_mod, "SERVICE_JOIN_TIMEOUT_S", 0.1)
+        release = threading.Event()
+
+        class StuckService(TwinService):
+            def run(self, stop):
+                release.wait(5.0)
+
+        with LinkEndpoint("dt", broker.host, broker.port) as dt:
+            service = StuckService(dt, "bench/stuck")
+            try:
+                with pytest.raises(RuntimeError, match="did not stop"):
+                    with service.serving():
+                        pass
+            finally:
+                release.set()

@@ -5,7 +5,7 @@ import pytest
 
 from twinet import pilotguard as pg
 from twinet.link import LinkEndpoint
-from twinet.mqtt.errors import ChecksumError
+from twinet.pilotguard import ChecksumError
 
 
 def small_config():
@@ -230,6 +230,24 @@ class TestModelCodec:
         struct.pack_into(">H", blob, 4, 99)
         blob += struct.pack(">I", zlib.crc32(bytes(blob)))
         with pytest.raises(pg.UnknownVersionError):
+            pg.decode_model(bytes(blob))
+
+    @pytest.mark.parametrize("cut", ["label", "pilot indices"])
+    def test_cut_with_valid_checksum(self, model, cut):
+        import struct, zlib
+        label_len = len(model.pilot_config.label.encode("utf-8"))
+        end = 4 + 16 + (label_len - 2 if cut == "label" else label_len + 3)
+        blob = bytearray(pg.encode_model(model))[:end]
+        blob += struct.pack(">I", zlib.crc32(bytes(blob)))
+        with pytest.raises(pg.ModelFormatError, match="truncated"):
+            pg.decode_model(bytes(blob))
+
+    def test_non_utf8_label(self, model):
+        import struct, zlib
+        blob = bytearray(pg.encode_model(model))[:-4]
+        blob[20] = 0xFF  # first label byte
+        blob += struct.pack(">I", zlib.crc32(bytes(blob)))
+        with pytest.raises(pg.ModelFormatError, match="UTF-8"):
             pg.decode_model(bytes(blob))
 
     def test_blob_size_for_64_4(self):

@@ -1,9 +1,10 @@
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from twinet.link import TOPIC_RW_REQUEST, LinkEndpoint
+from twinet.link import TOPIC_DT_EVAL_RESULT, TOPIC_RW_REQUEST, LinkEndpoint
 from twinet.netsim import CellSim, NetworkState, ScenarioConfig, UEStat
 from twinet.sadr import (
     DEFER_TO_TWIN,
@@ -21,6 +22,7 @@ from twinet.sadr import (
     compute_risk,
     default_instances,
     dwell_rewards,
+    encode_eval_result,
     map_action_to_rate,
     per_tick_reward,
     run_escalating_scenario,
@@ -314,3 +316,47 @@ class TestTwinEvalService:
         assert not worker.is_alive()
         assert evaluation.request_id == 3
         assert twin_link.decode_errors == 3
+
+
+class TestLinkTwinGate:
+    def test_malformed_result_is_skipped_and_counted(self, broker):
+        scenario = ScenarioConfig(psr_noise_sigma=0.0, seed=4)
+        with LinkEndpoint("twin", broker.host, broker.port) as twin_link, \
+             LinkEndpoint("ctrl", broker.host, broker.port) as ctrl_link, \
+             TwinEvalService(twin_link, scenario).serving():
+            gate = LinkTwinGate(ctrl_link, horizon=5)
+            twin_link.publish_envelope(TOPIC_DT_EVAL_RESULT, "EvalResult", b"{}")
+            req = TrafficRequest(3, (9, 9, 9), (4.5, 4.5, 4.5))
+            gate.send(req)
+            evaluation = gate.result(3, timeout=5.0)
+        local = LocalTwinGate(scenario, horizon=5)
+        local.send(req)
+        assert evaluation == local.result(3)
+        assert ctrl_link.decode_errors == 1
+
+    def test_timeout_holds_while_other_results_arrive(self, broker):
+        stop = threading.Event()
+        with LinkEndpoint("twin", broker.host, broker.port) as twin_link, \
+             LinkEndpoint("ctrl", broker.host, broker.port) as ctrl_link:
+            gate = LinkTwinGate(ctrl_link, horizon=5)
+            other = encode_eval_result(TwinEvaluation(99, 1.0, (1.0,)))
+
+            def publish_others():  # for 3 s at most, so no run hangs
+                for _ in range(300):
+                    if stop.wait(0.01):
+                        return
+                    twin_link.publish_envelope(TOPIC_DT_EVAL_RESULT,
+                                               "EvalResult", other)
+
+            publisher = threading.Thread(target=publish_others, daemon=True)
+            publisher.start()
+            start = time.monotonic()
+            try:
+                with pytest.raises(TimeoutError):
+                    gate.result(3, timeout=0.3)
+                elapsed = time.monotonic() - start
+            finally:
+                stop.set()
+                publisher.join(timeout=5.0)
+        assert not publisher.is_alive()
+        assert 0.3 <= elapsed < 2.0
