@@ -9,12 +9,11 @@ subscription changes, which also gives global FIFO ordering per
 
 from __future__ import annotations
 
-import csv
 import logging
 import socket
 import threading
-from dataclasses import dataclass, field
 
+from .metrics import write_metrics_csv
 from .mqtt import (
     ConnAck,
     Connect,
@@ -38,28 +37,23 @@ log = logging.getLogger(__name__)
 STATS_SCHEMA = ["counter", "value"]
 
 
-@dataclass
-class Session:
-    client_id: str
-    subscriptions: list[tuple[TopicFilter, int]] = field(default_factory=list)
-    next_outbound_packet_id: int = 1
-
-    def take_packet_id(self) -> int:
-        pid = self.next_outbound_packet_id
-        self.next_outbound_packet_id = pid % 0xFFFF + 1
-        return pid
-
-
 class _Connection:
-    """Server side of one client socket."""
+    """Server side of one client socket, and its session once it connects."""
 
     def __init__(self, broker: "Broker", sock: socket.socket):
         self.broker = broker
         self.sock = sock
         self.stream = sock.makefile("rb")
-        self.session: Session | None = None
+        self.client_id: str | None = None  # set on CONNECT
+        self.subscriptions: list[tuple[TopicFilter, int]] = []
+        self.next_packet_id = 1
         self._send_lock = threading.Lock()
         self.alive = True
+
+    def take_packet_id(self) -> int:
+        pid = self.next_packet_id
+        self.next_packet_id = pid % 0xFFFF + 1
+        return pid
 
     def send(self, packet) -> bool:
         data = encode_packet(packet)
@@ -178,7 +172,10 @@ class Broker:
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=2.0)
         if self.stats_csv:
-            self.dump_stats(self.stats_csv)
+            write_metrics_csv(
+                ({"counter": key, "value": value}
+                 for key, value in sorted(self.stats.items())),
+                STATS_SCHEMA, self.stats_csv)
 
     def __enter__(self) -> "Broker":
         self.start()
@@ -206,26 +203,24 @@ class Broker:
             if prior is not None:
                 prior.alive = False
                 prior.close()
-            conn.session = Session(client_id=client_id)
+            conn.client_id = client_id
             self._sessions[client_id] = conn
         self._count("connections", 1)
 
     def _drop_connection(self, conn: _Connection) -> None:
-        if conn.session is None:
+        if conn.client_id is None:
             return
         with self._table_lock:
-            if self._sessions.get(conn.session.client_id) is conn:
-                del self._sessions[conn.session.client_id]
-            conn.session.subscriptions.clear()
+            if self._sessions.get(conn.client_id) is conn:
+                del self._sessions[conn.client_id]
+            conn.subscriptions.clear()
 
     def _subscribe(self, conn: _Connection, packet: Subscribe) -> tuple[int, ...]:
-        if conn.session is None:
-            raise ValueError("subscribe before connect")
         granted = []
         with self._table_lock:
             for filter_text, max_qos in packet.filters:
                 topic_filter = validate_filter(filter_text)
-                conn.session.subscriptions.append((topic_filter, max_qos))
+                conn.subscriptions.append((topic_filter, max_qos))
                 granted.append(max_qos)
         return tuple(granted)
 
@@ -238,23 +233,20 @@ class Broker:
         highest granted qos. Publisher is acked iff the publish was qos 1,
         regardless of whether anyone matched.
         """
-        if publisher.session is None:
-            raise ValueError("publish before connect")
         delivered = 0
         with self._table_lock:
             for conn in self._sessions.values():
-                session = conn.session
-                if session is None or not conn.alive:
+                if not conn.alive:
                     continue
                 matched = [
                     max_qos
-                    for topic_filter, max_qos in session.subscriptions
+                    for topic_filter, max_qos in conn.subscriptions
                     if topic_matches(topic_filter, pub.topic)
                 ]
                 if not matched:
                     continue
                 qos = min(pub.qos, max(matched))
-                pid = session.take_packet_id() if qos == 1 else None
+                pid = conn.take_packet_id() if qos == 1 else None
                 if conn.send(Publish(pub.topic, pub.payload, qos, pid)):
                     delivered += 1
         self._count("bytes_in", len(pub.payload))
@@ -269,13 +261,6 @@ class Broker:
     def _count(self, key: str, amount: int) -> None:
         with self._stats_lock:
             self.stats[key] = self.stats.get(key, 0) + amount
-
-    def dump_stats(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(STATS_SCHEMA)
-            for key in sorted(self.stats):
-                writer.writerow([key, self.stats[key]])
 
 
 def run_broker(bind_address: str = "127.0.0.1:1883",

@@ -83,7 +83,6 @@ def run_mirror_experiment(host: str, port: int,
                           duration_s: float = 60.0,
                           schedule: RateSchedule = DEFAULT_MIRROR_SCHEDULE,
                           seed: int = 0,
-                          tick_ms: int = 100,
                           realtime: bool = False):
     """Real-side traffic follows the schedule; the twin mirrors it live.
 
@@ -91,12 +90,11 @@ def run_mirror_experiment(host: str, port: int,
     stepping, so the mirrored state sequence is deterministic while the
     mirror delay remains a genuine wall-clock measurement.
     """
-    config = ScenarioConfig(n_ues=1, tick_ms=tick_ms, psr_noise_sigma=0.0,
-                            seed=seed)
+    config = ScenarioConfig(n_ues=1, psr_noise_sigma=0.0, seed=seed)
     real_sim = CellSim(config)
     twin_sim = CellSim(config)
-    ticks = int(round(duration_s * 1000.0 / tick_ms))
-    tick_s = tick_ms / 1000.0
+    ticks = int(round(duration_s * 1000.0 / config.tick_ms))
+    tick_s = config.tick_ms / 1000.0
     with LinkEndpoint("mirror-real", host, port, qos=1) as real_link, \
          LinkEndpoint("mirror-twin", host, port, qos=1) as twin_link:
         twin_link.subscribe("rw/#")

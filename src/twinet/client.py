@@ -55,7 +55,7 @@ class MqttClient:
         # Replaced on every connect: an old connection's end fails no new request.
         self._acks: "queue.Queue[object]" = queue.Queue()
         self._lost = threading.Event()
-        # _io_lock serializes requests (and a publish's wait for its PUBACK);
+        # _io_lock serializes requests, each with its wait for its ack;
         # _send_lock only socket writes, so the reader can PUBACK meanwhile.
         self._io_lock = threading.RLock()
         self._send_lock = threading.Lock()
@@ -204,7 +204,7 @@ class MqttClient:
     def ping(self) -> None:
         with self._io_lock:
             self._send(PingReq())
-        self._wait_ack(PingResp)
+            self._wait_ack(PingResp)
 
     def poll(self, timeout: float | None = 0.0) -> tuple[str, bytes, int] | None:
         """Next received (topic, payload, recv_ns) in arrival order, or None."""

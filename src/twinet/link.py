@@ -241,20 +241,16 @@ class TwinService:
     def handle(self, envelope: MessageEnvelope) -> None:
         raise NotImplementedError
 
-    def serve_one(self, timeout: float | None = 1.0) -> bool:
-        envelope = self.link.poll_envelope(timeout)
-        if envelope is None or envelope.kind != self.request_kind:
-            return False
-        try:
-            self.handle(envelope)
-        except (KeyError, TypeError, ValueError) as exc:
-            self.link.drop(envelope, exc)
-            return False
-        return True
-
     def run(self, stop: threading.Event) -> None:
+        """Serve requests until ``stop`` is set, checking it every 0.1 s."""
         while not stop.is_set():
-            self.serve_one(timeout=0.1)
+            envelope = self.link.poll_envelope(0.1)
+            if envelope is None or envelope.kind != self.request_kind:
+                continue
+            try:
+                self.handle(envelope)
+            except (KeyError, TypeError, ValueError) as exc:
+                self.link.drop(envelope, exc)
 
     @contextlib.contextmanager
     def serving(self):

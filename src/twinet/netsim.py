@@ -128,20 +128,23 @@ class CellSim:
 
     def apply_allocation(self, rates_mbps, expected_mbps=None) -> None:
         """Stage granted rates (and the rates the UEs expected, defaulting to
-        the grant itself); takes effect at the next tick boundary."""
+        the grant itself); takes effect at the next tick boundary. Every rate
+        must be finite."""
         rates = np.asarray(rates_mbps, dtype=float)
         if rates.shape != (self.config.n_ues,):
             raise ValueError(
                 f"expected {self.config.n_ues} rates, got shape {rates.shape}"
             )
-        if np.any(rates < 0):
-            raise ValueError("rates must be non-negative")
+        if not 0 <= rates.min() <= rates.max() < np.inf:  # false for NaN too
+            raise ValueError("rates must be finite and non-negative")
         if expected_mbps is None:
             expected = rates.copy()
         else:
             expected = np.asarray(expected_mbps, dtype=float)
             if expected.shape != rates.shape:
                 raise ValueError("expected rates must match n_ues")
+            if not np.isfinite(expected).all():
+                raise ValueError("expected rates must be finite")
             if np.any(expected < rates - 1e-12):
                 raise ValueError("granted rate may not exceed expected rate")
         self._pending = (rates, expected)

@@ -18,8 +18,8 @@ import logging
 import struct
 import time
 import zlib
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from dataclasses import dataclass, replace
+from typing import Iterable
 
 import numpy as np
 
@@ -432,11 +432,9 @@ class BaseStation:
         # single reference assignment: readers never observe a mixed pair
         self._state = (model, model.pilot_config)
 
-    def detect_loop(self, frames: Iterable[SpectrumFrame],
-                    debounce: int = DEFAULT_DEBOUNCE,
-                    on_jam: Callable[[JamEvent], None] | None = None
-                    ) -> list[JamEvent]:
-        """Classify frames; emit one event per run of >= debounce jammed frames."""
+    def detect_loop(self, frames: Iterable[SpectrumFrame]) -> list[JamEvent]:
+        """Classify frames; emit one event per run of >= DEFAULT_DEBOUNCE
+        jammed frames."""
         events: list[JamEvent] = []
         consecutive = 0
         armed = True
@@ -444,12 +442,9 @@ class BaseStation:
             jam_class, _ = predict(self.model, frame)
             if jam_class > 0:
                 consecutive += 1
-                if armed and consecutive >= debounce:
-                    event = JamEvent(index, jam_class)
-                    events.append(event)
+                if armed and consecutive >= DEFAULT_DEBOUNCE:
+                    events.append(JamEvent(index, jam_class))
                     armed = False
-                    if on_jam is not None:
-                        on_jam(event)
             else:
                 consecutive = 0
                 armed = True
@@ -474,13 +469,6 @@ def decode_model_request(payload: bytes) -> tuple[PilotConfig, int]:
     return PilotConfig(k, pilot_indices, label), seed
 
 
-@dataclass
-class FactoryTiming:
-    data_collection_s: float = 0.0
-    data_processing_s: float = 0.0
-    model_creation_s: float = 0.0
-
-
 class ModelFactoryService(TwinService):
     """Twin-side factory: synthesizes data and trains a model on request."""
 
@@ -492,27 +480,29 @@ class ModelFactoryService(TwinService):
         super().__init__(link, TOPIC_DT_MODEL_REQUEST)
         self.n_train = n_train
         self.n_test = n_test
-        self.last_timing: FactoryTiming | None = None
+        self.last_timing: RedeployTiming | None = None
         self.last_request_transfer_s: float = 0.0
         self.last_accuracies: tuple[float, float] | None = None
 
     def build_model(self, pilots: PilotConfig, seed: int
-                    ) -> tuple[ClassifierModel, FactoryTiming]:
-        timing = FactoryTiming()
+                    ) -> tuple[ClassifierModel, RedeployTiming]:
+        """The model and its three twin-side stage times; transfer and total
+        are left at 0 for ``run_redeploy_pipeline`` to fill in."""
         rng = np.random.default_rng(seed)
         t0 = time.perf_counter()
         train_powers, y_train = generate_labeled_frames(pilots, self.n_train, rng)
         test_powers, y_test = generate_labeled_frames(pilots, self.n_test, rng)
-        timing.data_collection_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
+        t1 = time.perf_counter()
         x_train, x_test, stats = normalize_dataset(train_powers, test_powers)
-        timing.data_processing_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
+        t2 = time.perf_counter()
         model, _ = train_model(pilots, x_train, y_train, stats, seed=seed)
-        timing.model_creation_s = time.perf_counter() - t0
+        t3 = time.perf_counter()
         self.last_accuracies = (accuracy(model, x_train, y_train),
                                 accuracy(model, x_test, y_test))
-        return model, timing
+        return model, RedeployTiming(
+            data_transfer_s=0.0, data_collection_s=t1 - t0,
+            data_processing_s=t2 - t1, model_creation_s=t3 - t2,
+            total_deployment_s=0.0)
 
     def handle(self, envelope: MessageEnvelope) -> None:
         self.last_request_transfer_s = max(
@@ -542,26 +532,21 @@ def run_redeploy_pipeline(bs: BaseStation, bs_link: LinkEndpoint,
     bs_link.publish_envelope(TOPIC_DT_MODEL_REQUEST, "ModelRequest",
                              encode_model_request(new_pilots, seed))
     deadline = time.monotonic() + timeout
-    envelope = None
-    while time.monotonic() < deadline:
-        envelope = bs_link.poll_envelope(timeout=0.5)
+    while (remaining := deadline - time.monotonic()) > 0:
+        envelope = bs_link.poll_envelope(remaining)
         if envelope is not None and envelope.kind == "ModelArtifactMsg":
             break
-        envelope = None
-    if envelope is None:
+    else:
         raise TimeoutError("no model artifact received from the twin")
     model = decode_model(envelope.payload)  # raises before any swap on corruption
     if model.pilot_config != new_pilots:
         raise ValueError("artifact pilots do not match the requested pilots")
     bs.install(model)
     total = time.perf_counter() - t_start
-    factory_timing = factory.last_timing or FactoryTiming()
     artifact_transfer = max(0.0, (envelope.recv_at - envelope.sent_at) / 1e6)
-    timing = RedeployTiming(
+    timing = replace(
+        factory.last_timing,
         data_transfer_s=factory.last_request_transfer_s + artifact_transfer,
-        data_collection_s=factory_timing.data_collection_s,
-        data_processing_s=factory_timing.data_processing_s,
-        model_creation_s=factory_timing.model_creation_s,
         total_deployment_s=total,
     )
     return model, timing

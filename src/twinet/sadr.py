@@ -37,29 +37,15 @@ DEFAULT_HORIZON_TICKS = 50
 SADR_CSV_SCHEMA = ["instance", "arm", "repetition", "mean_reward"]
 
 
-@dataclass(frozen=True)
-class ActionSet:
-    """The 10 exclusive per-UE rate levels, from no traffic to 4.5 Mbps."""
-
-    actions: tuple[float, ...] = tuple(0.5 * a for a in range(10))
-
-    def __post_init__(self) -> None:
-        if len(self.actions) != 10:
-            raise ValueError("action set must hold exactly 10 levels")
-        if self.actions[0] != 0.0 or self.actions[-1] != 4.5:
-            raise ValueError("action set must span 0 to 4.5 Mbps")
-        if any(b <= a for a, b in zip(self.actions, self.actions[1:])):
-            raise ValueError("action levels must be strictly increasing")
-
-    def rate_for(self, action: int) -> float:
-        if not 0 <= action < len(self.actions):
-            raise IndexError(f"action index out of range: {action}")
-        return self.actions[action]
+# The 10 exclusive per-UE rate levels, from no traffic to 4.5 Mbps.
+ACTIONS = tuple(0.5 * a for a in range(10))
 
 
-def map_action_to_rate(action: int, action_set: ActionSet | None = None) -> float:
+def map_action_to_rate(action: int) -> float:
     """Expected rate r_exp for an action index (linear 0.5 Mbps spacing)."""
-    return (action_set or ActionSet()).rate_for(action)
+    if not 0 <= action < len(ACTIONS):
+        raise IndexError(f"action index out of range: {action}")
+    return ACTIONS[action]
 
 
 def compute_risk(risk_vector, capacity_mbps: float) -> float:
@@ -100,14 +86,12 @@ class TrafficRequest:
     risk_vector: tuple[float, ...]
 
     @classmethod
-    def from_actions(cls, request_id: int, action_indices,
-                     action_set: ActionSet | None = None) -> "TrafficRequest":
-        action_set = action_set or ActionSet()
+    def from_actions(cls, request_id: int, action_indices) -> "TrafficRequest":
         indices = tuple(action_indices)
         return cls(
             request_id=request_id,
             action_indices=indices,
-            risk_vector=tuple(action_set.rate_for(a) for a in indices),
+            risk_vector=tuple(map(map_action_to_rate, indices)),
         )
 
 
@@ -347,7 +331,6 @@ def run_escalating_scenario(
     dwell_ticks: int = 600,
     instances: list[tuple[int, ...]] | None = None,
     arms: tuple[str, ...] = ("gated", "ungated"),
-    action_set: ActionSet | None = None,
 ) -> ScenarioResult:
     """Play escalating traffic requests, once twin-gated and once ungated.
 
@@ -355,7 +338,6 @@ def run_escalating_scenario(
     does not depend on the arm, so low-demand instances (where the gate never
     triggers) produce bitwise-equal rewards in both arms.
     """
-    action_set = action_set or ActionSet()
     instances = instances if instances is not None else default_instances(scenario.n_ues)
     gate = gate_factory() if gate_factory is not None else LocalTwinGate(
         scenario, sadr_config.twin_horizon_ticks
@@ -366,7 +348,7 @@ def run_escalating_scenario(
             for idx, actions in enumerate(instances):
                 sim = CellSim(reseeded(scenario, rep, idx))
                 request_id = rep * 1000 + idx
-                req = TrafficRequest.from_actions(request_id, actions, action_set)
+                req = TrafficRequest.from_actions(request_id, actions)
                 if arm == "ungated":
                     sim.apply_allocation(req.risk_vector)
                 else:

@@ -279,3 +279,32 @@ class TestConcurrentQos1:
             receiver.close(); sender.close()
         assert not streamer.is_alive()
         assert slowest < 0.5
+
+    def test_ping_and_qos1_publish_on_one_client_keep_their_own_acks(self, broker):
+        # A ping and a QoS-1 publish share one ack queue; each must wait for
+        # its own ack under the request lock, or one takes the other's.
+        client = make_client(broker, "pinger", ack_timeout_s=2.0)
+        errors = []
+
+        def repeat(request):
+            try:
+                for _ in range(300):
+                    request()
+            except (ConnectionError, TimeoutError) as exc:
+                errors.append(exc)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=repeat, args=(client.ping,)),
+                       threading.Thread(target=repeat, args=(
+                           lambda: client.publish("t", b"x", qos=1),))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(switch)
+            client.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []

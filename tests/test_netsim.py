@@ -98,6 +98,16 @@ class TestStepTick:
         with pytest.raises(ValueError):
             s.apply_allocation([2.0, 2.0, 2.0], expected_mbps=[1.0, 2.0, 2.0])
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_non_finite_rates_rejected(self, rate):
+        s = sim()
+        with pytest.raises(ValueError, match="finite"):
+            s.apply_allocation([rate, 0.0, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            s.apply_allocation([1.0, 0.0, 0.0], expected_mbps=[rate, 0.0, 0.0])
+        s.step_tick()  # the rejected rates were never staged
+        assert s.last_state.aggregate_demand_mbps == 0.0
+
     def test_identical_inputs_identical_state_sequences(self):
         def run():
             s = sim(sigma=0.1, seed=21)

@@ -130,6 +130,13 @@ class TestRejection:
             decode_eval_result(
                 encode_eval_result(TwinEvaluation(1, 2.0, (1.0, 2.0)))[:-3])
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_non_finite_traffic_rate(self, rate):
+        # Any 8 bytes decode as an f8; the twin cell must refuse the rate here,
+        # not fail at its next tick.
+        with pytest.raises(ValueError, match="finite"):
+            apply_traffic_update(struct.pack(">Q2d", 0, 1.0, rate))
+
     def test_model_request_cut_in_pilot_indices(self):
         payload = pg.encode_model_request(pg.PilotConfig(16, (4, 7), "x"), 1)
         with pytest.raises(pg.ModelFormatError, match="truncated"):

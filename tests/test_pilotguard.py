@@ -1,4 +1,5 @@
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -380,3 +381,21 @@ class TestModelFactoryService:
         assert envelope is not None and envelope.kind == "ModelArtifactMsg"
         assert pg.decode_model(envelope.payload).pilot_config == config
         assert dt_link.decode_errors == 3
+
+
+class TestRedeployPipeline:
+    def test_timeout_bounds_the_wait(self, broker, trained_station):
+        config = small_config()
+        with LinkEndpoint("dt", broker.host, broker.port) as dt_link, \
+             LinkEndpoint("bs", broker.host, broker.port) as bs_link:
+            factory = pg.ModelFactoryService(dt_link)  # never served
+            bs_link.subscribe(pg.TOPIC_DT_MODEL_ARTIFACT)
+            new_pilots = pg.select_new_pilots(config, config.pilot_indices[0])
+            model = trained_station.model
+            start = time.monotonic()
+            with pytest.raises(TimeoutError):
+                pg.run_redeploy_pipeline(trained_station, bs_link, factory,
+                                         new_pilots, seed=1, timeout=0.1)
+            elapsed = time.monotonic() - start
+        assert elapsed < 0.3
+        assert trained_station.model is model

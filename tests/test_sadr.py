@@ -10,7 +10,6 @@ from twinet.sadr import (
     DEFER_TO_TWIN,
     LAUNCH_DIRECTLY,
     SAFE_FALLBACK,
-    ActionSet,
     LinkTwinGate,
     LocalTwinGate,
     SadrConfig,
@@ -51,10 +50,6 @@ class TestActionMapping:
     def test_out_of_range(self):
         with pytest.raises(IndexError):
             map_action_to_rate(10)
-
-    def test_action_set_invariants(self):
-        with pytest.raises(ValueError):
-            ActionSet(actions=tuple(float(a) for a in range(10)))
 
 
 class TestRisk:
