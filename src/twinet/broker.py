@@ -266,14 +266,20 @@ class Broker:
 def run_broker(bind_address: str = "127.0.0.1:1883",
                stats_csv: str | None = None,
                shutdown: threading.Event | None = None) -> Broker:
-    """Serve until ``shutdown`` is set (or forever); returns the stopped broker."""
+    """Serve until ``shutdown`` is set (or forever); returns the stopped broker.
+
+    The wait is timed. A signal that arrives just before an untimed lock
+    wait starts does not wake it, so a Ctrl-C right after start-up went
+    unseen; a timed wait sees it within 0.5 s.
+    """
     host, _, port_text = bind_address.partition(":")
     broker = Broker(host or "127.0.0.1", int(port_text or 0), stats_csv=stats_csv)
     broker.start()
     try:
         if shutdown is None:
             shutdown = threading.Event()
-        shutdown.wait()
+        while not shutdown.wait(0.5):
+            pass
     finally:
         broker.stop()
     return broker

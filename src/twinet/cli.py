@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 import os
 import random
+import signal
 import time
 
 import click
@@ -66,6 +67,19 @@ def _pick(flag_value, scenario: dict, key: str, default):
     if key in scenario:
         return scenario[key]
     return default
+
+
+FRAME_COUNT = click.IntRange(min=1)
+
+
+def _pick_count(flag_value, scenario: dict, key: str, default) -> int:
+    """``_pick`` for a frame count, held to the flag's range wherever it
+    came from."""
+    try:
+        return FRAME_COUNT.convert(_pick(flag_value, scenario, key, default),
+                                   None, None)
+    except click.BadParameter as exc:
+        raise click.BadParameter(exc.message, param_hint=f"'{key}'") from None
 
 
 # -- experiment drivers (also used by the test suite) -------------------------
@@ -199,10 +213,20 @@ def main() -> None:
               help="write routing counters here on shutdown")
 def broker_cmd(bind: str, stats_csv: str | None) -> None:
     """Serve the pub/sub broker until interrupted."""
+    previous = signal.signal(signal.SIGINT, _interrupt_once)
     try:
         broker_mod.run_broker(bind, stats_csv=stats_csv)
     except OSError as exc:
         raise click.ClickException(str(exc))
+    finally:
+        signal.signal(signal.SIGINT, previous)
+
+
+def _interrupt_once(signum, frame) -> None:
+    """The first SIGINT stops serving; later ones are ignored until the
+    broker's stop, which writes the stats CSV, has returned."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    raise KeyboardInterrupt
 
 
 @main.command("bench")
@@ -313,16 +337,16 @@ def sadr_cmd(reps, dwell_ticks, seed, arm, scenario_file, out) -> None:
               type=click.Choice(["10mhz", "20mhz", "40mhz", "all"]),
               default="all", show_default=True)
 @click.option("--seed", default=None, type=int)
-@click.option("--n-train", default=None, type=int)
-@click.option("--n-test", default=None, type=int)
+@click.option("--n-train", default=None, type=FRAME_COUNT)
+@click.option("--n-test", default=None, type=FRAME_COUNT)
 @click.option("--scenario-file", default=None, type=click.Path(exists=True))
 @click.option("--out", default=".", type=click.Path(), show_default=True)
 def pilot_cmd(scenario_label, seed, n_train, n_test, scenario_file, out) -> None:
     """Pilot-jamming detection and model redeployment per channel scenario."""
     section = load_scenario_file(scenario_file).get("pilot", {})
     seed = int(_pick(seed, section, "seed", 0))
-    n_train = int(_pick(n_train, section, "n_train", pg.DEFAULT_N_TRAIN))
-    n_test = int(_pick(n_test, section, "n_test", pg.DEFAULT_N_TEST))
+    n_train = _pick_count(n_train, section, "n_train", pg.DEFAULT_N_TRAIN)
+    n_test = _pick_count(n_test, section, "n_test", pg.DEFAULT_N_TEST)
     label_map = {"10mhz": "10 MHz", "20mhz": "20 MHz", "40mhz": "40 MHz"}
     labels = (list(label_map.values()) if scenario_label == "all"
               else [label_map[scenario_label]])

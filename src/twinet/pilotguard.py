@@ -164,11 +164,19 @@ def _balanced_labels(n: int, n_classes: int, rng: np.random.Generator) -> np.nda
 
 def generate_labeled_frames(config: PilotConfig, n: int,
                             rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Class-balanced raw power matrix (n, K) and labels (n,)."""
+    """Class-balanced raw power matrix (n, K) and labels (n,).
+
+    Equal, bit for bit, to ``generate_frame`` over the shuffled labels: one
+    (n, K) normal draw takes the same stream, row by row, as n draws of K.
+    """
+    if n < 1:
+        raise ValueError(f"need at least one frame, got n={n}")
     labels = _balanced_labels(n, config.n_pilots + 1, rng)
-    powers = np.stack([
-        generate_frame(config, int(label), rng).powers for label in labels
-    ])
+    powers = np.tile(base_template(config), (n, 1))
+    jammed = np.flatnonzero(labels)
+    pilots = np.asarray(config.pilot_indices)[labels[jammed] - 1]
+    powers[jammed, pilots] += JAMMER_POWER
+    powers *= np.exp(rng.normal(0.0, LOG_NOISE_SIGMA, powers.shape))
     return powers, labels
 
 
@@ -224,26 +232,44 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
+def _check_batch(x: np.ndarray) -> None:
+    if x.shape[0] == 0:
+        raise ValueError("batch must be non-empty")
+    if not np.isfinite(x).all():
+        raise ValueError("non-finite features in batch")
+
+
+def _loss_and_gradient(weights: np.ndarray, bias: np.ndarray,
+                       x: np.ndarray, y: np.ndarray):
+    """``loss_and_gradient`` without its batch checks.
+
+    The row-wise max and exp run class-major, on a (C, n) copy of the
+    logits, so they sweep the long axis instead of n rows of 5-7 classes.
+    Every product and every sum whose order could change a bit is the same
+    numpy call on the same (n, C) layout as a plain row-major softmax, so
+    the results are equal to it bit for bit for any shape.
+    """
+    n = x.shape[0]
+    rows = np.arange(n)
+    z = np.ascontiguousarray((x @ weights.T).T)
+    z += bias[:, None]
+    z -= z.max(axis=0)
+    np.exp(z, out=z)
+    probs = np.ascontiguousarray(z.T)
+    probs /= probs.sum(axis=1, keepdims=True)
+    loss = float(-np.mean(np.log(probs[rows, y])))
+    probs[rows, y] -= 1.0  # probs - onehot(y)
+    return loss, probs.T @ x / n, probs.mean(axis=0)
+
+
 def loss_and_gradient(weights: np.ndarray, bias: np.ndarray,
                       x: np.ndarray, y: np.ndarray):
     """Mean cross-entropy and its analytic gradient for a batch.
 
     probs = softmax(W x + b); dW = mean((probs - onehot) x^T), db likewise.
     """
-    if x.shape[0] == 0:
-        raise ValueError("batch must be non-empty")
-    if not np.isfinite(x).all():
-        raise ValueError("non-finite features in batch")
-    n, _ = x.shape
-    n_classes = weights.shape[0]
-    probs = softmax(x @ weights.T + bias)
-    loss = float(-np.mean(np.log(probs[np.arange(n), y])))
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), y] = 1.0
-    delta = probs - onehot
-    grad_w = delta.T @ x / n
-    grad_b = delta.mean(axis=0)
-    return loss, grad_w, grad_b
+    _check_batch(x)
+    return _loss_and_gradient(weights, bias, x, y)
 
 
 def train_model(config: PilotConfig,
@@ -252,14 +278,17 @@ def train_model(config: PilotConfig,
                 learning_rate: float = DEFAULT_LEARNING_RATE,
                 iterations: int = DEFAULT_ITERATIONS,
                 seed: int = 0) -> tuple[ClassifierModel, list[float]]:
-    """Full-batch gradient descent; returns the model and per-iteration losses."""
+    """Full-batch gradient descent; returns the model and per-iteration losses.
+
+    The batch is checked once, not on every iteration."""
+    _check_batch(x_train)
     n_classes = config.n_pilots + 1
     rng = np.random.default_rng(seed)
     weights = rng.normal(0.0, 0.01, (n_classes, config.n_subcarriers))
     bias = np.zeros(n_classes)
     history: list[float] = []
     for iteration in range(iterations):
-        loss, grad_w, grad_b = loss_and_gradient(weights, bias, x_train, y_train)
+        loss, grad_w, grad_b = _loss_and_gradient(weights, bias, x_train, y_train)
         if not np.isfinite(loss):
             raise TrainingDivergedError(iteration)
         history.append(loss)

@@ -1,5 +1,7 @@
 import threading
 import time
+import types
+import zlib
 
 import numpy as np
 import pytest
@@ -37,6 +39,35 @@ class TestFrameGeneration:
         a = pg.generate_frame(small_config(), 2, np.random.default_rng(5))
         b = pg.generate_frame(small_config(), 2, np.random.default_rng(5))
         assert np.array_equal(a.powers, b.powers)
+
+
+def reference_labeled_frames(config, n, rng):
+    """``generate_labeled_frames`` frame by frame: the oracle that the batched
+    draw must match bit for bit."""
+    labels = pg._balanced_labels(n, config.n_pilots + 1, rng)
+    powers = np.stack([
+        pg.generate_frame(config, int(label), rng).powers for label in labels
+    ])
+    return powers, labels
+
+
+class TestBatchedFrames:
+    @pytest.mark.parametrize("n", [1, 701])
+    @pytest.mark.parametrize("label", list(pg.SCENARIOS))
+    def test_equals_per_frame_generation(self, label, n):
+        config = pg.PilotConfig.for_scenario(label, seed=5)
+        batched_rng, reference_rng = np.random.default_rng(6), np.random.default_rng(6)
+        powers, labels = pg.generate_labeled_frames(config, n, batched_rng)
+        ref_powers, ref_labels = reference_labeled_frames(config, n, reference_rng)
+        assert powers.shape == (n, config.n_subcarriers)
+        assert powers.tobytes() == ref_powers.tobytes()
+        assert np.array_equal(labels, ref_labels)
+        assert batched_rng.bit_generator.state == reference_rng.bit_generator.state
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_frames_rejected(self, n):
+        with pytest.raises(ValueError, match="at least one frame"):
+            pg.generate_labeled_frames(small_config(), n, np.random.default_rng(0))
 
 
 class TestDataset:
@@ -119,6 +150,93 @@ class TestLossAndGradient:
         with pytest.raises(ValueError):
             pg.loss_and_gradient(np.zeros((2, 2)), np.zeros(2), x,
                                  np.array([0]))
+
+
+def reference_loss_and_gradient(weights, bias, x, y):
+    """``loss_and_gradient`` in the plain row-major (n, C) form, without its
+    checks: the oracle that the class-major step must match bit for bit."""
+    n, _ = x.shape
+    logits = x @ weights.T + bias
+    exp = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    probs = exp / exp.sum(axis=-1, keepdims=True)
+    loss = float(-np.mean(np.log(probs[np.arange(n), y])))
+    onehot = np.zeros((n, weights.shape[0]))
+    onehot[np.arange(n), y] = 1.0
+    delta = probs - onehot
+    return loss, delta.T @ x / n, delta.mean(axis=0)
+
+
+def reference_training(config, x, y, learning_rate=pg.DEFAULT_LEARNING_RATE,
+                       iterations=pg.DEFAULT_ITERATIONS, seed=0):
+    """The training loop over ``reference_loss_and_gradient``: (weights,
+    bias, history), or the iteration at which the loss stopped being finite."""
+    n_classes = config.n_pilots + 1
+    rng = np.random.default_rng(seed)
+    weights = rng.normal(0.0, 0.01, (n_classes, config.n_subcarriers))
+    bias = np.zeros(n_classes)
+    history = []
+    for iteration in range(iterations):
+        loss, grad_w, grad_b = reference_loss_and_gradient(weights, bias, x, y)
+        if not np.isfinite(loss):
+            return iteration
+        history.append(loss)
+        weights -= learning_rate * grad_w
+        bias -= learning_rate * grad_b
+    return weights, bias, history
+
+
+class TestClassMajorOracle:
+    @pytest.mark.parametrize("label", list(pg.SCENARIOS))
+    def test_train_model_equals_row_major_loop(self, label):
+        config = pg.PilotConfig.for_scenario(label, seed=13)
+        x_train, y_train, _, _, stats = pg.make_dataset(config, 600, 10, seed=13)
+        model, history = pg.train_model(config, x_train, y_train, stats, seed=13)
+        weights, bias, ref_history = reference_training(config, x_train, y_train,
+                                                        seed=13)
+        assert model.weights.tobytes() == weights.tobytes()
+        assert model.bias.tobytes() == bias.tobytes()
+        assert history == ref_history
+
+    # (n, K, classes): shapes where a (C, n) product or a class-by-class
+    # sum gives other bits than the row-major form on some BLAS builds
+    @pytest.mark.parametrize("n, k, classes", [(257, 9, 5), (300, 64, 8),
+                                               (463, 26, 12)])
+    def test_loss_and_gradient_equals_row_major(self, n, k, classes):
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(n, k))
+        y = rng.integers(0, classes, n)
+        weights = rng.normal(size=(classes, k))
+        bias = rng.normal(size=classes)
+        loss, grad_w, grad_b = pg.loss_and_gradient(weights, bias, x, y)
+        ref_loss, ref_w, ref_b = reference_loss_and_gradient(weights, bias, x, y)
+        assert loss == ref_loss
+        assert grad_w.tobytes() == ref_w.tobytes()
+        assert grad_b.tobytes() == ref_b.tobytes()
+
+    def test_divergence_at_the_reference_iteration(self):
+        config = small_config()
+        x_train, y_train, _, _, stats = pg.make_dataset(config, 200, 20, seed=3)
+        with np.errstate(all="ignore"):
+            expected = reference_training(config, x_train, y_train,
+                                          learning_rate=1e4, iterations=50, seed=3)
+            with pytest.raises(pg.TrainingDivergedError) as info:
+                pg.train_model(config, x_train, y_train, stats,
+                               learning_rate=1e4, iterations=50, seed=3)
+        assert isinstance(expected, int) and expected >= 1
+        assert info.value.iteration == expected
+
+    def test_empty_batch_rejected(self):
+        config = small_config()
+        stats = pg.NormStats(np.zeros(16), np.ones(16))
+        with pytest.raises(ValueError, match="non-empty"):
+            pg.train_model(config, np.zeros((0, 16)), np.zeros(0, dtype=int), stats)
+
+    def test_non_finite_batch_rejected(self):
+        config = small_config()
+        x_train, y_train, _, _, stats = pg.make_dataset(config, 40, 8, seed=4)
+        x_train[3, 5] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            pg.train_model(config, x_train, y_train, stats)
 
 
 class TestTraining:
@@ -358,6 +476,20 @@ class TestSwapAtomicity:
 
 
 class TestModelFactoryService:
+    @pytest.mark.parametrize("label, seed, crc, accuracies", [
+        ("10 MHz", 21, 0x3B2F1AD9, (0.98, 0.9333333333333333)),
+        ("20 MHz", 22, 0x30368F04, (0.9933333333333333, 0.9)),
+        ("40 MHz", 23, 0xA62A0396, (0.9933333333333333, 0.85)),
+    ])
+    def test_golden_models(self, label, seed, crc, accuracies):
+        # Recorded with the per-frame collection and the row-major training
+        # loop: a change to the factory's output must fail here.
+        link = types.SimpleNamespace(subscribe=lambda topic: None)
+        factory = pg.ModelFactoryService(link, n_train=300, n_test=60)
+        model, _ = factory.build_model(pg.PilotConfig.for_scenario(label, seed), seed)
+        assert zlib.crc32(pg.encode_model(model)) == crc
+        assert factory.last_accuracies == accuracies
+
     def test_malformed_payload_does_not_stop_the_service(self, broker):
         config = small_config()
         stop = threading.Event()
