@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 import socket
 import threading
+import time
 
 from .metrics import write_metrics_csv
 from .mqtt import (
@@ -133,7 +134,6 @@ class Broker:
         }
         self._listener: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
-        self._stopping = threading.Event()
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -155,7 +155,6 @@ class Broker:
         log.info("broker listening on %s:%d", self.host, self.port)
 
     def stop(self) -> None:
-        self._stopping.set()
         if self._listener is not None:
             try:  # on Linux only shutdown wakes a thread blocked in accept()
                 self._listener.shutdown(socket.SHUT_RDWR)
@@ -186,8 +185,8 @@ class Broker:
 
     def _accept_loop(self) -> None:
         assert self._listener is not None
-        while not self._stopping.is_set():
-            try:
+        while True:
+            try:  # fails once stop() has shut the listener down
                 sock, _ = self._listener.accept()
             except OSError:
                 return
@@ -201,7 +200,6 @@ class Broker:
         with self._table_lock:
             prior = self._sessions.get(client_id)
             if prior is not None:
-                prior.alive = False
                 prior.close()
             conn.client_id = client_id
             self._sessions[client_id] = conn
@@ -264,22 +262,18 @@ class Broker:
 
 
 def run_broker(bind_address: str = "127.0.0.1:1883",
-               stats_csv: str | None = None,
-               shutdown: threading.Event | None = None) -> Broker:
-    """Serve until ``shutdown`` is set (or forever); returns the stopped broker.
+               stats_csv: str | None = None) -> None:
+    """Serve until interrupted, then stop (and write the stats CSV).
 
-    The wait is timed. A signal that arrives just before an untimed lock
-    wait starts does not wake it, so a Ctrl-C right after start-up went
-    unseen; a timed wait sees it within 0.5 s.
+    The wait is timed. A signal that arrives just before an untimed wait
+    starts does not wake it, so a Ctrl-C right after start-up went unseen;
+    a timed wait sees it within 0.5 s.
     """
     host, _, port_text = bind_address.partition(":")
     broker = Broker(host or "127.0.0.1", int(port_text or 0), stats_csv=stats_csv)
     broker.start()
     try:
-        if shutdown is None:
-            shutdown = threading.Event()
-        while not shutdown.wait(0.5):
-            pass
+        while True:
+            time.sleep(0.5)
     finally:
         broker.stop()
-    return broker

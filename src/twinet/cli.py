@@ -60,26 +60,29 @@ def load_scenario_file(path: str | None) -> dict:
     return data
 
 
-def _pick(flag_value, scenario: dict, key: str, default):
-    """Resolution order: CLI flag, scenario file entry, built-in default."""
-    if flag_value is not None:
-        return flag_value
-    if key in scenario:
-        return scenario[key]
-    return default
-
-
-FRAME_COUNT = click.IntRange(min=1)
-
-
-def _pick_count(flag_value, scenario: dict, key: str, default) -> int:
-    """``_pick`` for a frame count, held to the flag's range wherever it
-    came from."""
+def _pick(flag_value, section: dict, key: str, default, kind: click.ParamType):
+    """The CLI flag, else the scenario file's entry, else ``default``, each
+    converted and range-checked by ``kind``; a bad value is a usage error that
+    names ``key`` (click has already named the flag for a bad flag value)."""
+    value = flag_value if flag_value is not None else section.get(key, default)
     try:
-        return FRAME_COUNT.convert(_pick(flag_value, scenario, key, default),
-                                   None, None)
+        return kind.convert(value, None, None)
     except click.BadParameter as exc:
         raise click.BadParameter(exc.message, param_hint=f"'{key}'") from None
+
+
+def _payload_sizes(value) -> tuple[int, ...]:
+    """Payload sizes in bytes, each >= 0: a comma-separated string or a list."""
+    items = value if isinstance(value, (list, tuple)) else str(value).split(",")
+    return tuple(click.IntRange(min=0).convert(item, None, None) for item in items)
+
+
+COUNT = click.IntRange(min=1)
+SEED = click.IntRange(min=0)  # numpy's rule; bench seeds follow it too
+SIZES = click.types.FuncParamType(_payload_sizes)
+DURATION = click.FloatRange(min=ScenarioConfig.tick_ms / 1000.0)  # >= one tick
+# --scenario value -> channel scenario label, "10mhz" -> "10 MHz"
+PILOT_SCENARIOS = {label.replace(" ", "").lower(): label for label in pg.SCENARIOS}
 
 
 # -- experiment drivers (also used by the test suite) -------------------------
@@ -230,23 +233,21 @@ def _interrupt_once(signum, frame) -> None:
 
 
 @main.command("bench")
-@click.option("--sizes", default=None,
+@click.option("--sizes", default=None, type=SIZES, metavar="N[,N...]",
               help="comma-separated payload sizes in bytes")
-@click.option("--samples", default=None, type=int)
-@click.option("--seed", default=None, type=int)
+@click.option("--samples", default=None, type=COUNT)
+@click.option("--seed", default=None, type=SEED)
 @click.option("--scenario-file", default=None, type=click.Path(exists=True))
 @click.option("--out", default=".", type=click.Path(), show_default=True)
 def bench_cmd(sizes, samples, seed, scenario_file, out) -> None:
     """Latency benchmark per payload size and direction (CSV per size row)."""
     scenario = load_scenario_file(scenario_file).get("bench", {})
-    sizes_text = _pick(sizes, scenario, "sizes", None)
-    size_list = (tuple(int(s) for s in str(sizes_text).split(","))
-                 if sizes_text else BENCH_SIZES)
-    samples = int(_pick(samples, scenario, "samples", BENCH_SAMPLES))
-    seed = int(_pick(seed, scenario, "seed", 0))
+    sizes = _pick(sizes, scenario, "sizes", BENCH_SIZES, SIZES)
+    samples = _pick(samples, scenario, "samples", BENCH_SAMPLES, COUNT)
+    seed = _pick(seed, scenario, "seed", 0, SEED)
     with broker_mod.Broker(port=0) as broker:
         reports = run_bench_experiment(broker.host, broker.port,
-                                       sizes=size_list, samples=samples,
+                                       sizes=sizes, samples=samples,
                                        seed=seed)
     path = os.path.join(out, "bench.csv")
     write_metrics_csv([r.to_row() for r in reports], BENCH_CSV_SCHEMA, path)
@@ -254,9 +255,9 @@ def bench_cmd(sizes, samples, seed, scenario_file, out) -> None:
 
 
 @main.command("mirror")
-@click.option("--duration", default=None, type=float,
+@click.option("--duration", default=None, type=DURATION,
               help="simulated duration in seconds")
-@click.option("--seed", default=None, type=int)
+@click.option("--seed", default=None, type=SEED)
 @click.option("--realtime/--compressed", default=False, show_default=True,
               help="pace ticks in wall-clock time or run them back to back")
 @click.option("--scenario-file", default=None, type=click.Path(exists=True))
@@ -264,8 +265,8 @@ def bench_cmd(sizes, samples, seed, scenario_file, out) -> None:
 def mirror_cmd(duration, seed, realtime, scenario_file, out) -> None:
     """Traffic-mirroring proof of concept with six rate changes."""
     scenario = load_scenario_file(scenario_file).get("mirror", {})
-    duration = float(_pick(duration, scenario, "duration_s", 60.0))
-    seed = int(_pick(seed, scenario, "seed", 0))
+    duration = _pick(duration, scenario, "duration_s", 60.0, DURATION)
+    seed = _pick(seed, scenario, "seed", 0, SEED)
     schedule = DEFAULT_MIRROR_SCHEDULE
     if "schedule" in scenario:
         schedule = RateSchedule(tuple(
@@ -295,9 +296,9 @@ def mirror_cmd(duration, seed, realtime, scenario_file, out) -> None:
 
 
 @main.command("sadr")
-@click.option("--reps", default=None, type=int)
-@click.option("--dwell-ticks", default=None, type=int)
-@click.option("--seed", default=None, type=int)
+@click.option("--reps", default=None, type=COUNT)
+@click.option("--dwell-ticks", default=None, type=COUNT)
+@click.option("--seed", default=None, type=SEED)
 @click.option("--gated", "arm", flag_value="gated")
 @click.option("--ungated", "arm", flag_value="ungated")
 @click.option("--both", "arm", flag_value="both", default=True)
@@ -306,20 +307,21 @@ def mirror_cmd(duration, seed, realtime, scenario_file, out) -> None:
 def sadr_cmd(reps, dwell_ticks, seed, arm, scenario_file, out) -> None:
     """Escalating-demand scenario, twin-gated and ungated arms."""
     section = load_scenario_file(scenario_file).get("sadr", {})
-    reps = int(_pick(reps, section, "repetitions", 10))
-    dwell_ticks = int(_pick(dwell_ticks, section, "dwell_ticks", 600))
-    seed = int(_pick(seed, section, "seed", 0))
+    reps = _pick(reps, section, "repetitions", 10, COUNT)
+    dwell_ticks = _pick(dwell_ticks, section, "dwell_ticks", 600, COUNT)
+    seed = _pick(seed, section, "seed", 0, SEED)
     scenario = ScenarioConfig(seed=seed)
     safe_setup = tuple(section.get("safe_setup", (1.5, 1.5, 1.5)))
-    app_requirements = section.get("app_requirements")
-    if app_requirements is None:
-        app_requirements = sadr_mod.calibrate_app_requirements(
-            scenario, safe_setup)
     sadr_config = sadr_mod.SadrConfig(
-        risk_threshold=float(section.get("risk_threshold", 0.8)),
-        app_requirements=float(app_requirements),
+        risk_threshold=_pick(None, section, "risk_threshold", 0.8,
+                             click.FloatRange(min=0, min_open=True)),
+        app_requirements=_pick(
+            None, section, "app_requirements",
+            sadr_mod.calibrate_app_requirements(scenario, safe_setup),
+            click.FLOAT),
         safe_setup=safe_setup,
-        twin_horizon_ticks=int(section.get("twin_horizon_ticks", 50)),
+        twin_horizon_ticks=_pick(None, section, "twin_horizon_ticks",
+                                 sadr_mod.DEFAULT_HORIZON_TICKS, COUNT),
     )
     arms = ("gated", "ungated") if arm == "both" else (arm,)
     with broker_mod.Broker(port=0) as broker:
@@ -334,22 +336,21 @@ def sadr_cmd(reps, dwell_ticks, seed, arm, scenario_file, out) -> None:
 
 @main.command("pilot")
 @click.option("--scenario", "scenario_label",
-              type=click.Choice(["10mhz", "20mhz", "40mhz", "all"]),
+              type=click.Choice([*PILOT_SCENARIOS, "all"]),
               default="all", show_default=True)
-@click.option("--seed", default=None, type=int)
-@click.option("--n-train", default=None, type=FRAME_COUNT)
-@click.option("--n-test", default=None, type=FRAME_COUNT)
+@click.option("--seed", default=None, type=SEED)
+@click.option("--n-train", default=None, type=COUNT)
+@click.option("--n-test", default=None, type=COUNT)
 @click.option("--scenario-file", default=None, type=click.Path(exists=True))
 @click.option("--out", default=".", type=click.Path(), show_default=True)
 def pilot_cmd(scenario_label, seed, n_train, n_test, scenario_file, out) -> None:
     """Pilot-jamming detection and model redeployment per channel scenario."""
     section = load_scenario_file(scenario_file).get("pilot", {})
-    seed = int(_pick(seed, section, "seed", 0))
-    n_train = _pick_count(n_train, section, "n_train", pg.DEFAULT_N_TRAIN)
-    n_test = _pick_count(n_test, section, "n_test", pg.DEFAULT_N_TEST)
-    label_map = {"10mhz": "10 MHz", "20mhz": "20 MHz", "40mhz": "40 MHz"}
-    labels = (list(label_map.values()) if scenario_label == "all"
-              else [label_map[scenario_label]])
+    seed = _pick(seed, section, "seed", 0, SEED)
+    n_train = _pick(n_train, section, "n_train", pg.DEFAULT_N_TRAIN, COUNT)
+    n_test = _pick(n_test, section, "n_test", pg.DEFAULT_N_TEST, COUNT)
+    labels = (list(pg.SCENARIOS) if scenario_label == "all"
+              else [PILOT_SCENARIOS[scenario_label]])
     accuracy_rows, timing_rows = [], []
     with broker_mod.Broker(port=0) as broker:
         for label in labels:

@@ -39,17 +39,19 @@ class BrokerUnreachableError(ConnectionError):
 # Put on a connection's ack queue by its reader thread when the connection ends.
 _CONNECTION_LOST = object()
 
+# Connection attempts before BrokerUnreachableError, the delay after the first
+# failed one (doubled after each later one), and how long a request waits for
+# its ack. Read at each use, so a test can monkeypatch them.
+CONNECT_RETRIES = 5
+BACKOFF_S = 0.05
+ACK_TIMEOUT_S = 10.0
+
 
 class MqttClient:
-    def __init__(self, client_id: str, host: str, port: int,
-                 connect_retries: int = 5, backoff_s: float = 0.05,
-                 ack_timeout_s: float = 10.0):
+    def __init__(self, client_id: str, host: str, port: int):
         self.client_id = client_id
         self.host = host
         self.port = port
-        self.connect_retries = connect_retries
-        self.backoff_s = backoff_s
-        self.ack_timeout_s = ack_timeout_s
         self.messages: "queue.Queue[tuple[str, bytes, int]]" = queue.Queue()
         self._sock: socket.socket | None = None
         # Replaced on every connect: an old connection's end fails no new request.
@@ -67,9 +69,9 @@ class MqttClient:
 
     def connect(self) -> None:
         """Connect with bounded retries and exponential backoff."""
-        delay = self.backoff_s
+        delay = BACKOFF_S
         last_error: Exception | None = None
-        for attempt in range(self.connect_retries):
+        for attempt in range(CONNECT_RETRIES):
             try:
                 self._connect_once()
                 return
@@ -80,7 +82,7 @@ class MqttClient:
                 delay *= 2
         raise BrokerUnreachableError(
             f"broker {self.host}:{self.port} unreachable "
-            f"after {self.connect_retries} attempts: {last_error}"
+            f"after {CONNECT_RETRIES} attempts: {last_error}"
         )
 
     def _connect_once(self) -> None:
@@ -161,7 +163,7 @@ class MqttClient:
     def _wait_ack(self, kind, packet_id: int | None = None):
         """Next ``kind`` ack (with ``packet_id``, if it has one) on this connection."""
         acks = self._acks
-        deadline = time.monotonic() + self.ack_timeout_s
+        deadline = time.monotonic() + ACK_TIMEOUT_S
         while True:
             timeout = deadline - time.monotonic()
             if timeout <= 0:
@@ -206,13 +208,9 @@ class MqttClient:
             self._send(PingReq())
             self._wait_ack(PingResp)
 
-    def poll(self, timeout: float | None = 0.0) -> tuple[str, bytes, int] | None:
+    def poll(self, timeout: float = 0.0) -> tuple[str, bytes, int] | None:
         """Next received (topic, payload, recv_ns) in arrival order, or None."""
-        try:
-            if timeout is None:
-                return self.messages.get()
-            if timeout == 0:
-                return self.messages.get_nowait()
+        try:  # a 0 s timeout does not wait; Queue.get checks before it waits
             return self.messages.get(timeout=timeout)
         except queue.Empty:
             return None

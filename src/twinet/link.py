@@ -26,6 +26,7 @@ import contextlib
 import gc
 import logging
 import os
+import random
 import statistics
 import struct
 import threading
@@ -150,11 +151,8 @@ class LinkEndpoint:
     accounting.
     """
 
-    def __init__(self, client_id: str, host: str, port: int, qos: int = 1,
-                 connect_retries: int = 5, backoff_s: float = 0.05):
-        self.client = MqttClient(client_id, host, port,
-                                 connect_retries=connect_retries,
-                                 backoff_s=backoff_s)
+    def __init__(self, client_id: str, host: str, port: int, qos: int = 1):
+        self.client = MqttClient(client_id, host, port)
         self.qos = qos
         self._seq_lock = threading.Lock()
         self._next_seq: dict[str, int] = {}
@@ -191,14 +189,16 @@ class LinkEndpoint:
         self.client.publish(topic, encode_envelope(envelope), qos=self.qos)
         return envelope
 
-    def poll_envelope(self, timeout: float | None = 0.0) -> MessageEnvelope | None:
-        """Next received envelope in arrival order, or None on timeout. A message
-        that does not decode is logged, counted in decode_errors and dropped."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            item = self.client.poll(timeout)
-            if item is None:
-                return None
+    def poll_envelope(self, timeout: float = 0.0,
+                      kind: str | None = None) -> MessageEnvelope | None:
+        """Next received envelope (of ``kind``, if given; others count for seq
+        gaps and are skipped), or None once ``timeout`` s have passed in all. A
+        message that does not decode is logged, counted in decode_errors and
+        dropped. A ``kind`` not in ``KINDS`` raises EnvelopeError at once."""
+        if kind is not None and kind not in KINDS:
+            raise EnvelopeError(f"unknown envelope kind: {kind!r}")
+        deadline = time.monotonic() + timeout
+        while (item := self.client.poll(timeout)) is not None:
             topic, payload, recv_ns = item
             try:
                 envelope = decode_envelope(payload)
@@ -206,16 +206,17 @@ class LinkEndpoint:
                 self.decode_errors += 1
                 log.warning("dropped malformed envelope on %s (%d B): %s",
                             topic, len(payload), exc)
-                if deadline is not None:
-                    timeout = max(0.0, deadline - time.monotonic())
-                continue
-            envelope.recv_at = recv_ns // 1_000
-            key = (envelope.kind, envelope.topic)
-            last = self._last_seen_seq.get(key)
-            if last is not None and envelope.seq > last + 1:
-                self.gap_count += envelope.seq - last - 1
-            self._last_seen_seq[key] = max(envelope.seq, last or 0)
-            return envelope
+            else:
+                envelope.recv_at = recv_ns // 1_000
+                key = (envelope.kind, envelope.topic)
+                last = self._last_seen_seq.get(key)
+                if last is not None and envelope.seq > last + 1:
+                    self.gap_count += envelope.seq - last - 1
+                self._last_seen_seq[key] = max(envelope.seq, last or 0)
+                if kind is None or envelope.kind == kind:
+                    return envelope
+            timeout = max(0.0, deadline - time.monotonic())
+        return None
 
     def drop(self, envelope: MessageEnvelope, exc: Exception) -> None:
         """Log and count an envelope whose payload cannot be decoded or served."""
@@ -244,8 +245,8 @@ class TwinService:
     def run(self, stop: threading.Event) -> None:
         """Serve requests until ``stop`` is set, checking it every 0.1 s."""
         while not stop.is_set():
-            envelope = self.link.poll_envelope(0.1)
-            if envelope is None or envelope.kind != self.request_kind:
+            envelope = self.link.poll_envelope(0.1, self.request_kind)
+            if envelope is None:
                 continue
             try:
                 self.handle(envelope)
@@ -363,10 +364,9 @@ def _bench_ping(sender: LinkEndpoint, receiver: LinkEndpoint, topic: str,
     return (received.recv_at - received.sent_at) / 1_000.0
 
 
-def run_latency_bench(host: str, port: int,
+def run_latency_bench(host: str, port: int, rng: random.Random,
                       sizes=BENCH_SIZES,
-                      samples_per_size: int = BENCH_SAMPLES,
-                      rng=None) -> list[LatencyReport]:
+                      samples_per_size: int = BENCH_SAMPLES) -> list[LatencyReport]:
     """One-way latency per payload size and direction over an idle broker.
 
     Both endpoints run in this process and share the host clock, so one-way
@@ -379,9 +379,6 @@ def run_latency_bench(host: str, port: int,
     share of every size's samples, each share after ``BENCH_WARMUPS``
     unmeasured messages of its size.
     """
-    import random
-
-    rng = rng or random.Random(0)
     rounds = max(1, min(BENCH_ROUNDS, samples_per_size))
     with _threads_on_one_cpu(), \
          LinkEndpoint("bench-real", host, port, qos=1) as real, \

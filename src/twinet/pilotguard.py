@@ -510,13 +510,13 @@ class ModelFactoryService(TwinService):
         self.n_train = n_train
         self.n_test = n_test
         self.last_timing: RedeployTiming | None = None
-        self.last_request_transfer_s: float = 0.0
         self.last_accuracies: tuple[float, float] | None = None
 
     def build_model(self, pilots: PilotConfig, seed: int
                     ) -> tuple[ClassifierModel, RedeployTiming]:
         """The model and its three twin-side stage times; transfer and total
-        are left at 0 for ``run_redeploy_pipeline`` to fill in."""
+        are left at 0 for ``handle`` (the request's transfer) and
+        ``run_redeploy_pipeline`` (the artifact's, and the total) to fill in."""
         rng = np.random.default_rng(seed)
         t0 = time.perf_counter()
         train_powers, y_train = generate_labeled_frames(pilots, self.n_train, rng)
@@ -534,12 +534,10 @@ class ModelFactoryService(TwinService):
             total_deployment_s=0.0)
 
     def handle(self, envelope: MessageEnvelope) -> None:
-        self.last_request_transfer_s = max(
-            0.0, (envelope.recv_at - envelope.sent_at) / 1e6
-        )
         pilots, seed = decode_model_request(envelope.payload)
         model, timing = self.build_model(pilots, seed)
-        self.last_timing = timing
+        self.last_timing = replace(timing, data_transfer_s=max(
+            0.0, (envelope.recv_at - envelope.sent_at) / 1e6))
         self.link.publish_envelope(
             TOPIC_DT_MODEL_ARTIFACT, "ModelArtifactMsg", encode_model(model)
         )
@@ -560,12 +558,8 @@ def run_redeploy_pipeline(bs: BaseStation, bs_link: LinkEndpoint,
     t_start = time.perf_counter()
     bs_link.publish_envelope(TOPIC_DT_MODEL_REQUEST, "ModelRequest",
                              encode_model_request(new_pilots, seed))
-    deadline = time.monotonic() + timeout
-    while (remaining := deadline - time.monotonic()) > 0:
-        envelope = bs_link.poll_envelope(remaining)
-        if envelope is not None and envelope.kind == "ModelArtifactMsg":
-            break
-    else:
+    envelope = bs_link.poll_envelope(timeout, "ModelArtifactMsg")
+    if envelope is None:
         raise TimeoutError("no model artifact received from the twin")
     model = decode_model(envelope.payload)  # raises before any swap on corruption
     if model.pilot_config != new_pilots:
@@ -575,7 +569,7 @@ def run_redeploy_pipeline(bs: BaseStation, bs_link: LinkEndpoint,
     artifact_transfer = max(0.0, (envelope.recv_at - envelope.sent_at) / 1e6)
     timing = replace(
         factory.last_timing,
-        data_transfer_s=factory.last_request_transfer_s + artifact_transfer,
+        data_transfer_s=factory.last_timing.data_transfer_s + artifact_transfer,
         total_deployment_s=total,
     )
     return model, timing

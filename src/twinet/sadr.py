@@ -149,19 +149,17 @@ class SadrController:
         """New UE traffic request: launch directly, or defer risky ones to the twin."""
         risk = compute_risk(req.risk_vector, self.real_sim.config.capacity_mbps)
         if risk > self.config.risk_threshold:  # strictly above triggers the twin
-            if self.send_eval_request is None:
-                self.flagged = True
-                self._launch(self.config.safe_setup)
-                return SAFE_FALLBACK
-            try:
-                self.send_eval_request(req)
-            except Exception as exc:
-                log.warning("twin unreachable (%s); applying safe setup", exc)
-                self.flagged = True
-                self._launch(self.config.safe_setup)
-                return SAFE_FALLBACK
-            self.pending[req.request_id] = req
-            return DEFER_TO_TWIN
+            if self.send_eval_request is not None:
+                try:
+                    self.send_eval_request(req)
+                except Exception as exc:
+                    log.warning("twin unreachable (%s); applying safe setup", exc)
+                else:
+                    self.pending[req.request_id] = req
+                    return DEFER_TO_TWIN
+            self.flagged = True
+            self._launch(self.config.safe_setup)
+            return SAFE_FALLBACK
         self._launch(req.risk_vector)
         return LAUNCH_DIRECTLY
 
@@ -254,7 +252,7 @@ class LocalTwinGate:
     def send(self, req: TrafficRequest) -> None:
         self._pending = req
 
-    def result(self, request_id: int, timeout: float = 0.0) -> TwinEvaluation:
+    def result(self, request_id: int) -> TwinEvaluation:
         assert self._pending is not None and self._pending.request_id == request_id
         req, self._pending = self._pending, None
         return twin_evaluate(twin_sim_for(self.scenario, req.request_id), req,
@@ -280,9 +278,9 @@ class LinkTwinGate:
         not decode is logged, counted in the link's decode_errors and skipped."""
         deadline = time.monotonic() + timeout
         while (remaining := deadline - time.monotonic()) > 0:
-            envelope = self.link.poll_envelope(remaining)
-            if envelope is None or envelope.kind != "EvalResult":
-                continue
+            envelope = self.link.poll_envelope(remaining, "EvalResult")
+            if envelope is None:
+                break
             try:
                 evaluation = decode_eval_result(envelope.payload)
             except EnvelopeError as exc:

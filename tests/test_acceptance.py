@@ -184,7 +184,7 @@ def test_criterion_3_traffic_mirroring():
     for real_state, twin_state in zip(real_sim.tick_log, twin_sim.tick_log):
         if real_state.ues[0].r_act_mbps != twin_state.ues[0].r_act_mbps:
             failures.append(
-                f"tick {twin_state.tick}: twin rate "
+                f"tick {twin_state.tick_index}: twin rate "
                 f"{twin_state.ues[0].r_act_mbps} != real "
                 f"{real_state.ues[0].r_act_mbps}"
             )

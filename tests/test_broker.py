@@ -6,13 +6,14 @@ import time
 
 import pytest
 
+from twinet import client as client_mod
 from twinet.client import BrokerUnreachableError, MqttClient
 from twinet.mqtt import (ConnAck, TopicFilter, encode_packet, read_packet,
                          topic_matches, validate_filter)
 
 
-def make_client(broker, name, **kw):
-    client = MqttClient(name, broker.host, broker.port, **kw)
+def make_client(broker, name):
+    client = MqttClient(name, broker.host, broker.port)
     client.connect()
     return client
 
@@ -172,9 +173,10 @@ class TestLifecycle:
         assert text.startswith("counter,value")
         assert "publishes_routed,1" in text
 
-    def test_unreachable_broker_raises_after_retries(self):
-        client = MqttClient("x", "127.0.0.1", 1, connect_retries=2,
-                            backoff_s=0.01)
+    def test_unreachable_broker_raises_after_retries(self, monkeypatch):
+        monkeypatch.setattr(client_mod, "CONNECT_RETRIES", 2)
+        monkeypatch.setattr(client_mod, "BACKOFF_S", 0.01)
+        client = MqttClient("x", "127.0.0.1", 1)
         with pytest.raises(BrokerUnreachableError):
             client.connect()
 
@@ -210,7 +212,7 @@ class TestDeadConnection:
 
         peer = threading.Thread(target=serve_then_hang_up, daemon=True)
         peer.start()
-        client = MqttClient("c", *listener.getsockname(), ack_timeout_s=10.0)
+        client = MqttClient("c", *listener.getsockname())
         client.connect()
         start = time.monotonic()
         with pytest.raises(ConnectionError):
@@ -221,8 +223,9 @@ class TestDeadConnection:
         assert not peer.is_alive()
         listener.close()
 
-    def test_publish_after_eof_reconnects_with_fresh_acks(self, broker):
-        old = make_client(broker, "dup", ack_timeout_s=2.0)
+    def test_publish_after_eof_reconnects_with_fresh_acks(self, broker, monkeypatch):
+        monkeypatch.setattr(client_mod, "ACK_TIMEOUT_S", 2.0)
+        old = make_client(broker, "dup")
         evictor = make_client(broker, "dup")  # the broker closes old's socket
         wait_until_lost(old)
         old.publish("t", b"x", qos=1)  # reconnects, then gets its PubAck
@@ -230,11 +233,13 @@ class TestDeadConnection:
         old.ping()
         old.close(); evictor.close()
 
-    def test_repeated_evictions_never_replay_a_lost_connection(self, broker):
+    def test_repeated_evictions_never_replay_a_lost_connection(self, broker,
+                                                               monkeypatch):
+        monkeypatch.setattr(client_mod, "ACK_TIMEOUT_S", 2.0)
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            client = make_client(broker, "dup", ack_timeout_s=2.0)
+            client = make_client(broker, "dup")
             deadline = time.monotonic() + 20.0
             for i in range(20):
                 evictor = make_client(broker, "dup")
@@ -249,10 +254,11 @@ class TestDeadConnection:
 
 
 class TestConcurrentQos1:
-    def test_own_publishes_complete_while_receiving_qos1(self, broker):
+    def test_own_publishes_complete_while_receiving_qos1(self, broker, monkeypatch):
         # The reader PUBACKs incoming QoS-1 publishes while this client's own
         # publish waits for its PUBACK; neither may wait on the other.
-        receiver = make_client(broker, "rx", ack_timeout_s=2.0)
+        monkeypatch.setattr(client_mod, "ACK_TIMEOUT_S", 2.0)
+        receiver = make_client(broker, "rx")
         receiver.subscribe("in/#", 1)
         sender = make_client(broker, "tx")
         stop = threading.Event()
@@ -280,10 +286,12 @@ class TestConcurrentQos1:
         assert not streamer.is_alive()
         assert slowest < 0.5
 
-    def test_ping_and_qos1_publish_on_one_client_keep_their_own_acks(self, broker):
+    def test_ping_and_qos1_publish_on_one_client_keep_their_own_acks(self, broker,
+                                                                     monkeypatch):
         # A ping and a QoS-1 publish share one ack queue; each must wait for
         # its own ack under the request lock, or one takes the other's.
-        client = make_client(broker, "pinger", ack_timeout_s=2.0)
+        monkeypatch.setattr(client_mod, "ACK_TIMEOUT_S", 2.0)
+        client = make_client(broker, "pinger")
         errors = []
 
         def repeat(request):

@@ -138,13 +138,26 @@ class TestPilotCommand:
         assert (float(timing[0]["total_deployment_s"])
                 >= float(timing[0]["model_creation_s"]))
 
-    @pytest.mark.parametrize("flag", ["--n-train", "--n-test"])
-    def test_zero_frames_flag_rejected(self, tmp_path, flag):
-        result = CliRunner().invoke(main, ["pilot", "--scenario", "10mhz", flag, "0",
+    # The frame counts' range rules hold for every command's flags.
+    @pytest.mark.parametrize("command, flag, value", [
+        pytest.param("pilot", "--n-train", "0", id="--n-train"),
+        pytest.param("pilot", "--n-test", "0", id="--n-test"),
+        pytest.param("pilot", "--seed", "-1", id="pilot--seed"),
+        pytest.param("bench", "--samples", "0", id="bench--samples"),
+        pytest.param("bench", "--sizes", "-5", id="bench--sizes"),
+        pytest.param("bench", "--seed", "-1", id="bench--seed"),
+        pytest.param("sadr", "--dwell-ticks", "0", id="sadr--dwell-ticks"),
+        pytest.param("sadr", "--seed", "-1", id="sadr--seed"),
+        pytest.param("mirror", "--duration", "0.04", id="mirror--duration"),
+        pytest.param("mirror", "--seed", "-1", id="mirror--seed"),
+    ])
+    def test_zero_frames_flag_rejected(self, tmp_path, command, flag, value):
+        result = CliRunner().invoke(main, [command, flag, value,
                                            "--out", str(tmp_path)])
         assert result.exit_code == 2
-        assert "x>=1" in result.output
-        assert not (tmp_path / "pilot_accuracy.csv").exists()
+        assert f"Invalid value for '{flag}'" in result.output
+        assert "is not in the range" in result.output
+        assert os.listdir(tmp_path) == []
 
     def test_zero_frames_in_scenario_file_rejected(self, tmp_path):
         scenario = tmp_path / "scenario.yaml"
@@ -194,6 +207,20 @@ class TestBrokerCommand:
 
 
 class TestScenarioFileValidation:
+    @pytest.mark.parametrize("entry", ["twin_horizon_ticks: 0",
+                                       "risk_threshold: 0", "seed: -1"])
+    def test_out_of_range_sadr_entry_rejected(self, tmp_path, entry):
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(f"sadr:\n  {entry}\n")
+        result = CliRunner().invoke(
+            main, ["sadr", "--reps", "1", "--dwell-ticks", "10",
+                   "--scenario-file", str(scenario), "--out", str(tmp_path)],
+        )
+        assert result.exit_code == 2
+        key = entry.partition(":")[0]
+        assert f"Invalid value for '{key}'" in result.output
+        assert not (tmp_path / "sadr.csv").exists()
+
     def test_non_mapping_file_rejected(self, tmp_path):
         scenario = tmp_path / "scenario.yaml"
         scenario.write_text("- just\n- a\n- list\n")

@@ -15,6 +15,7 @@ from twinet.link import (
     encode_envelope,
     run_latency_bench,
 )
+from twinet import client as client_mod
 from twinet.client import BrokerUnreachableError
 
 
@@ -135,6 +136,45 @@ class TestLinkEndpoint:
             after = time.time_ns() // 1_000
             assert before <= env.sent_at <= after
 
+    def test_kind_filter_skips_other_kinds_and_counts_their_gaps(self, broker):
+        with LinkEndpoint("rw", broker.host, broker.port) as rw, \
+             LinkEndpoint("dt", broker.host, broker.port) as dt:
+            dt.subscribe("rw/#")
+            rw.publish_envelope("rw/traffic", "TrafficUpdate", b"0")
+            rw._next_seq["rw/traffic"] = 5  # the next update skips seq 1-4
+            rw.publish_envelope("rw/traffic", "TrafficUpdate", b"5")
+            rw.publish_envelope("rw/request", "EvalRequest", b"r")
+            env = dt.poll_envelope(2.0, "EvalRequest")
+            assert env is not None and env.payload == b"r"
+            assert dt.gap_count == 4
+            assert dt.poll_envelope(0.2) is None
+
+    def test_kind_filter_keeps_one_deadline_while_other_kinds_arrive(self, broker):
+        stop = threading.Event()
+        with LinkEndpoint("rw", broker.host, broker.port) as rw, \
+             LinkEndpoint("dt", broker.host, broker.port) as dt:
+            dt.subscribe("rw/#")
+            with pytest.raises(EnvelopeError):  # a misspelt kind never waits
+                dt.poll_envelope(5.0, "EvalReqest")
+
+            def publish_others():  # for 3 s at most, so no run hangs
+                for _ in range(300):
+                    if stop.wait(0.01):
+                        return
+                    rw.publish_envelope("rw/traffic", "TrafficUpdate", b"x")
+
+            publisher = threading.Thread(target=publish_others, daemon=True)
+            publisher.start()
+            start = time.monotonic()
+            try:
+                assert dt.poll_envelope(0.3, "EvalRequest") is None
+                elapsed = time.monotonic() - start
+            finally:
+                stop.set()
+                publisher.join(timeout=5.0)
+        assert not publisher.is_alive()
+        assert 0.3 <= elapsed < 2.0
+
     def test_malformed_message_dropped_and_counted(self, broker):
         with LinkEndpoint("rw", broker.host, broker.port) as rw, \
              LinkEndpoint("dt", broker.host, broker.port) as dt:
@@ -145,12 +185,13 @@ class TestLinkEndpoint:
             assert env is not None and env.payload == b"ok"
             assert dt.decode_errors == 1
 
-    def test_broker_killed_surfaces_error(self):
+    def test_broker_killed_surfaces_error(self, monkeypatch):
         from twinet.broker import Broker
+        monkeypatch.setattr(client_mod, "CONNECT_RETRIES", 2)
+        monkeypatch.setattr(client_mod, "BACKOFF_S", 0.01)
         b = Broker(port=0)
         b.start()
-        link = LinkEndpoint("rw", b.host, b.port, connect_retries=2,
-                            backoff_s=0.01)
+        link = LinkEndpoint("rw", b.host, b.port)
         link.connect()
         start = time.monotonic()
         b.stop()

@@ -456,6 +456,7 @@ class TestSwapAtomicity:
                 observed_model, observed_pilots = station.snapshot()
                 if observed_model.pilot_config is not observed_pilots:
                     violations.append((observed_model, observed_pilots))
+                time.sleep(0)  # yield the GIL, or install() waits for it
 
         threads = [threading.Thread(target=reader) for _ in range(4)]
         for t in threads:
