@@ -215,6 +215,20 @@ class TestLatencyBench:
             assert set(row) == {"size_bytes", "direction", "mean_ms",
                                 "p50_ms", "p99_ms", "n"}
 
+    @pytest.mark.parametrize("cpu_clock, retakes", [
+        (lambda: 0, link_mod.BENCH_RETAKES),  # stands still: all look stolen
+        (time.perf_counter_ns, 0),            # keeps pace with the wall clock
+    ], ids=["cpu_away", "cpu_kept"])
+    def test_sample_taken_again_while_the_cpu_is_away(self, broker, monkeypatch,
+                                                      cpu_clock, retakes):
+        monkeypatch.setattr(link_mod.time, "process_time_ns", cpu_clock)
+        reports = run_latency_bench(broker.host, broker.port,
+                                    sizes=(1, 1000), samples_per_size=4,
+                                    rng=random.Random(1))
+        for report in reports:
+            assert report.retaken == 4 * retakes
+            assert len(report.samples_ms) + report.discarded == 4
+
 
 class TestTwinService:
     def test_serving_raises_when_the_thread_does_not_stop(self, broker,
