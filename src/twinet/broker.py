@@ -31,6 +31,7 @@ from .mqtt import (
     read_packet,
     topic_matches,
     validate_filter,
+    write_frame,
 )
 
 log = logging.getLogger(__name__)
@@ -57,16 +58,16 @@ class _Connection:
         return pid
 
     def send(self, packet) -> bool:
-        data = encode_packet(packet)
+        buffers = encode_packet(packet)
         with self._send_lock:
             if not self.alive:
                 return False
             try:
-                self.sock.sendall(data)
+                sent = write_frame(self.sock, buffers)
             except OSError:
                 self.alive = False
                 return False
-        self.broker._count("bytes_out", len(data))
+        self.broker._count("bytes_out", sent)
         return True
 
     def close(self) -> None:
@@ -145,13 +146,14 @@ class Broker:
         except OSError as exc:
             listener.close()
             raise OSError(f"cannot bind {self.host}:{self.port}: {exc}") from exc
+        self._listener = listener  # from here on, stop() closes it
         listener.listen(64)
         self.port = listener.getsockname()[1]
-        self._listener = listener
-        self._accept_thread = threading.Thread(
+        accept_thread = threading.Thread(
             target=self._accept_loop, name="broker-accept", daemon=True
         )
-        self._accept_thread.start()
+        accept_thread.start()
+        self._accept_thread = accept_thread  # stop() joins only a started thread
         log.info("broker listening on %s:%d", self.host, self.port)
 
     def stop(self) -> None:
@@ -170,7 +172,7 @@ class Broker:
             conn.close()
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=2.0)
-        if self.stats_csv:
+        if self.stats_csv and self._listener is not None:  # not if bind failed
             write_metrics_csv(
                 ({"counter": key, "value": value}
                  for key, value in sorted(self.stats.items())),
@@ -229,7 +231,8 @@ class Broker:
 
         Overlapping filters within one session deliver a single copy at the
         highest granted qos. Publisher is acked iff the publish was qos 1,
-        regardless of whether anyone matched.
+        regardless of whether anyone matched. Each delivery sends the received
+        payload view itself, so the payload is never copied on the broker.
         """
         delivered = 0
         with self._table_lock:
@@ -267,12 +270,13 @@ def run_broker(bind_address: str = "127.0.0.1:1883",
 
     The wait is timed. A signal that arrives just before an untimed wait
     starts does not wake it, so a Ctrl-C right after start-up went unseen;
-    a timed wait sees it within 0.5 s.
+    a timed wait sees it within 0.5 s. ``start`` runs inside the ``try``: a
+    Ctrl-C can land once the socket listens but before ``start`` returns.
     """
     host, _, port_text = bind_address.partition(":")
     broker = Broker(host or "127.0.0.1", int(port_text or 0), stats_csv=stats_csv)
-    broker.start()
     try:
+        broker.start()
         while True:
             time.sleep(0.5)
     finally:

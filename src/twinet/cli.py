@@ -10,6 +10,7 @@ CSV outputs except wall-clock timing columns.
 from __future__ import annotations
 
 import logging
+import math
 import os
 import random
 import signal
@@ -24,6 +25,7 @@ from . import pilotguard as pg
 from . import sadr as sadr_mod
 from .link import (
     BENCH_CSV_SCHEMA,
+    BENCH_MAX_SIZE,
     BENCH_SAMPLES,
     BENCH_SIZES,
     TOPIC_DT_MODEL_ARTIFACT,
@@ -72,14 +74,49 @@ def _pick(flag_value, section: dict, key: str, default, kind: click.ParamType):
 
 
 def _payload_sizes(value) -> tuple[int, ...]:
-    """Payload sizes in bytes, each >= 0: a comma-separated string or a list."""
+    """Payload sizes in bytes, each >= 0 and small enough for one MQTT frame:
+    a comma-separated string or a list."""
     items = value if isinstance(value, (list, tuple)) else str(value).split(",")
-    return tuple(click.IntRange(min=0).convert(item, None, None) for item in items)
+    size = click.IntRange(min=0, max=BENCH_MAX_SIZE)
+    return tuple(size.convert(item, None, None) for item in items)
+
+
+def _rates(value) -> tuple[float, ...]:
+    """Rates in Mb/s, each finite and >= 0."""
+    try:
+        rates = tuple(float(rate) for rate in value)
+    except (TypeError, ValueError) as exc:
+        raise click.BadParameter(f"expected a list of rates: {exc}") from None
+    if not all(0 <= rate < math.inf for rate in rates):
+        raise click.BadParameter(f"rates must be finite and >= 0, got {rates}")
+    return rates
+
+
+def _safe_setup(value) -> tuple[float, ...]:
+    """One rate per UE of the scenario's cell."""
+    rates = _rates(value)
+    if len(rates) != ScenarioConfig.n_ues:
+        raise click.BadParameter(
+            f"expected {ScenarioConfig.n_ues} rates, got {len(rates)}")
+    return rates
+
+
+def _rate_schedule(value) -> RateSchedule:
+    """A non-empty list of [time_s, rate] change points, times strictly
+    increasing."""
+    try:
+        times, rates = zip(*((float(t), rate) for t, rate in value))
+        return RateSchedule(tuple(zip(times, _rates(rates))))
+    except (TypeError, ValueError) as exc:
+        raise click.BadParameter(
+            f"expected a non-empty list of [time_s, rate] pairs: {exc}") from None
 
 
 COUNT = click.IntRange(min=1)
 SEED = click.IntRange(min=0)  # numpy's rule; bench seeds follow it too
 SIZES = click.types.FuncParamType(_payload_sizes)
+SAFE_SETUP = click.types.FuncParamType(_safe_setup)
+SCHEDULE = click.types.FuncParamType(_rate_schedule)
 DURATION = click.FloatRange(min=ScenarioConfig.tick_ms / 1000.0)  # >= one tick
 # --scenario value -> channel scenario label, "10mhz" -> "10 MHz"
 PILOT_SCENARIOS = {label.replace(" ", "").lower(): label for label in pg.SCENARIOS}
@@ -267,11 +304,8 @@ def mirror_cmd(duration, seed, realtime, scenario_file, out) -> None:
     scenario = load_scenario_file(scenario_file).get("mirror", {})
     duration = _pick(duration, scenario, "duration_s", 60.0, DURATION)
     seed = _pick(seed, scenario, "seed", 0, SEED)
-    schedule = DEFAULT_MIRROR_SCHEDULE
-    if "schedule" in scenario:
-        schedule = RateSchedule(tuple(
-            (float(t), float(r)) for t, r in scenario["schedule"]
-        ))
+    schedule = _pick(None, scenario, "schedule",
+                     DEFAULT_MIRROR_SCHEDULE.change_points, SCHEDULE)
     with broker_mod.Broker(port=0) as broker:
         real_sim, twin_sim, seq_gaps = run_mirror_experiment(
             broker.host, broker.port, duration_s=duration,
@@ -311,7 +345,7 @@ def sadr_cmd(reps, dwell_ticks, seed, arm, scenario_file, out) -> None:
     dwell_ticks = _pick(dwell_ticks, section, "dwell_ticks", 600, COUNT)
     seed = _pick(seed, section, "seed", 0, SEED)
     scenario = ScenarioConfig(seed=seed)
-    safe_setup = tuple(section.get("safe_setup", (1.5, 1.5, 1.5)))
+    safe_setup = _pick(None, section, "safe_setup", (1.5, 1.5, 1.5), SAFE_SETUP)
     sadr_config = sadr_mod.SadrConfig(
         risk_threshold=_pick(None, section, "risk_threshold", 0.8,
                              click.FloatRange(min=0, min_open=True)),

@@ -27,6 +27,7 @@ from .mqtt import (
     CodecError,
     encode_packet,
     read_packet,
+    write_frame,
 )
 
 log = logging.getLogger(__name__)
@@ -52,7 +53,7 @@ class MqttClient:
         self.client_id = client_id
         self.host = host
         self.port = port
-        self.messages: "queue.Queue[tuple[str, bytes, int]]" = queue.Queue()
+        self.messages: "queue.Queue[tuple[str, memoryview, int]]" = queue.Queue()
         self._sock: socket.socket | None = None
         # Replaced on every connect: an old connection's end fails no new request.
         self._acks: "queue.Queue[object]" = queue.Queue()
@@ -90,7 +91,7 @@ class MqttClient:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sock.settimeout(None)
         stream = sock.makefile("rb")
-        sock.sendall(encode_packet(Connect(self.client_id)))
+        write_frame(sock, encode_packet(Connect(self.client_id)))
         ack = read_packet(stream)
         if not isinstance(ack, ConnAck) or ack.return_code != 0:
             sock.close()
@@ -151,9 +152,9 @@ class MqttClient:
         sock = self._sock
         if sock is None or self._lost.is_set():
             raise ConnectionError("not connected")
-        data = encode_packet(packet)
+        buffers = encode_packet(packet)
         with self._send_lock:
-            sock.sendall(data)
+            write_frame(sock, buffers)
 
     def _take_packet_id(self) -> int:
         pid = self._next_packet_id
@@ -208,8 +209,9 @@ class MqttClient:
             self._send(PingReq())
             self._wait_ack(PingResp)
 
-    def poll(self, timeout: float = 0.0) -> tuple[str, bytes, int] | None:
-        """Next received (topic, payload, recv_ns) in arrival order, or None."""
+    def poll(self, timeout: float = 0.0) -> tuple[str, memoryview, int] | None:
+        """Next received (topic, payload, recv_ns) in arrival order, or None.
+        The payload is a read-only view of the received frame, not a copy."""
         try:  # a 0 s timeout does not wait; Queue.get checks before it waits
             return self.messages.get(timeout=timeout)
         except queue.Empty:

@@ -34,6 +34,7 @@ import time
 from dataclasses import dataclass, field
 
 from .client import MqttClient
+from .mqtt import MAX_FRAME_BYTES
 
 log = logging.getLogger(__name__)
 
@@ -83,6 +84,13 @@ ENVELOPE_MAGIC = b"TW"
 ENVELOPE_VERSION = 1
 _HEADER = struct.Struct(">2sBBQQH")  # magic, version, kind, seq, sent_at, topic length
 
+# Largest bench payload whose QoS-1 frame fits MAX_FRAME_BYTES: the frame adds
+# a fixed header with a 4 B remaining length, the topic with its 2 B length, a
+# 2 B packet id, and the envelope header and topic.
+_BENCH_TOPIC_BYTES = len("bench/ping/rw2dt")  # and bench/ping/dt2rw
+BENCH_MAX_SIZE = (MAX_FRAME_BYTES - (1 + 4) - (2 + _BENCH_TOPIC_BYTES) - 2
+                  - (_HEADER.size + _BENCH_TOPIC_BYTES))
+
 
 class EnvelopeError(ValueError):
     """Envelope bytes are malformed, or its fields do not fit the header."""
@@ -113,7 +121,8 @@ def encode_envelope(envelope: MessageEnvelope) -> bytes:
     return b"".join((header, topic, envelope.payload))
 
 
-def decode_envelope(data: bytes) -> MessageEnvelope:
+def decode_envelope(data: bytes | memoryview) -> MessageEnvelope:
+    """Decode an envelope; its payload is copied out of ``data`` as ``bytes``."""
     try:
         magic, version, kind, seq, sent_at, topic_len = _HEADER.unpack_from(data)
     except struct.error as exc:
@@ -132,7 +141,7 @@ def decode_envelope(data: bytes) -> MessageEnvelope:
     except UnicodeDecodeError as exc:
         raise EnvelopeError(f"envelope topic is not UTF-8: {exc}") from exc
     return MessageEnvelope(topic=topic, seq=seq, sent_at=sent_at,
-                           kind=KINDS[kind], payload=data[end:])
+                           kind=KINDS[kind], payload=bytes(data[end:]))
 
 
 def unpack_payload(header: str, payload: bytes) -> tuple:

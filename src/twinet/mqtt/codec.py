@@ -8,11 +8,13 @@ frames stay inspectable with off-the-shelf MQTT tooling.
 
 from __future__ import annotations
 
+import socket
 import struct
 from typing import BinaryIO
 
 from .errors import (
     BadTopicError,
+    FrameTooLargeError,
     LengthMismatchError,
     MalformedVarintError,
     TruncatedFrameError,
@@ -32,6 +34,9 @@ from .packets import (
 )
 
 MAX_REMAINING_LENGTH = 268_435_455
+# Largest whole frame (fixed header included) either side sends or accepts. The
+# varint allows 256 MB, and a reader allocates a frame's buffer from its header.
+MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 _TYPE_CONNECT = 1
 _TYPE_CONNACK = 2
@@ -108,8 +113,15 @@ def _check_topic_name(topic: str) -> None:
         raise BadTopicError(f"topic name may not contain wildcards: {topic!r}")
 
 
-def encode_packet(packet: ControlPacket) -> bytes:
-    """Encode one control packet to a wire frame, with one join (one payload copy)."""
+def encode_packet(packet: ControlPacket) -> list:
+    """Encode one control packet as the buffers of its wire frame, in order.
+
+    A Publish gives ``[head, payload]``: the head is the fixed header,
+    remaining length, topic and packet id, and the payload is the packet's own
+    object, not a copy. Any other packet gives ``[frame]``. Raises ValueError
+    for a frame longer than MAX_FRAME_BYTES.
+    """
+    payload = b""
     if isinstance(packet, Connect):
         parts = [_PROTOCOL_NAME, bytes([_PROTOCOL_LEVEL, _CONNECT_FLAGS]),
                  struct.pack(">H", 0), _encode_string(packet.client_id)]
@@ -122,7 +134,7 @@ def encode_packet(packet: ControlPacket) -> bytes:
         parts = [_encode_string(packet.topic)]
         if packet.qos == 1:
             parts.append(struct.pack(">H", packet.packet_id))
-        parts.append(packet.payload)
+        payload = packet.payload
         header = (_TYPE_PUBLISH << 4) | (packet.qos << 1)
     elif isinstance(packet, PubAck):
         parts = [struct.pack(">H", packet.packet_id)]
@@ -142,12 +154,17 @@ def encode_packet(packet: ControlPacket) -> bytes:
         header = _EMPTY_BODY_TYPES[type(packet)] << 4
     else:
         raise TypeError(f"not a ControlPacket: {packet!r}")
-    remaining = encode_remaining_length(sum(map(len, parts)))
-    return b"".join((bytes([header]), remaining, *parts))
+    remaining = sum(map(len, parts)) + len(payload)
+    head = b"".join((bytes([header]), encode_remaining_length(remaining), *parts))
+    if len(head) + len(payload) > MAX_FRAME_BYTES:
+        raise ValueError(f"a {len(head) + len(payload)} B frame exceeds "
+                         f"MAX_FRAME_BYTES ({MAX_FRAME_BYTES})")
+    return [head, payload] if isinstance(packet, Publish) else [head]
 
 
 def decode_packet(frame: bytes | bytearray) -> ControlPacket:
-    """Decode one complete frame; a publish payload is the only copy made."""
+    """Decode one complete frame. A publish payload is a read-only view of
+    ``frame``, not a copy."""
     if not frame:
         raise TruncatedFrameError("empty input")
     header = frame[0]
@@ -187,7 +204,7 @@ def _decode_body(ptype: int, flags: int, body: memoryview) -> ControlPacket:
                 raise TruncatedFrameError("publish packet id truncated")
             (packet_id,) = struct.unpack_from(">H", body, offset)
             offset += 2
-        return Publish(topic, bytes(body[offset:]), qos, packet_id)
+        return Publish(topic, body[offset:].toreadonly(), qos, packet_id)
     if ptype == _TYPE_PUBACK:
         if len(body) != 2:
             raise LengthMismatchError("puback body must be 2 bytes")
@@ -225,7 +242,8 @@ def read_packet(stream: BinaryIO) -> ControlPacket | None:
 
     The body is read straight into one preallocated frame buffer. Returns
     None on clean EOF at a frame boundary; raises TruncatedFrameError on EOF
-    mid-frame.
+    mid-frame, and FrameTooLargeError, before allocating, for a header that
+    declares more than MAX_FRAME_BYTES.
     """
     head = bytearray(stream.read(1))
     if not head:
@@ -240,6 +258,9 @@ def read_packet(stream: BinaryIO) -> ControlPacket | None:
     else:
         raise MalformedVarintError("continuation bit set past 4 varint bytes")
     remaining, _ = decode_remaining_length(head, 1)
+    if len(head) + remaining > MAX_FRAME_BYTES:
+        raise FrameTooLargeError(f"header declares a {len(head) + remaining} B "
+                                 f"frame, over MAX_FRAME_BYTES ({MAX_FRAME_BYTES})")
     frame = bytearray(len(head) + remaining)
     frame[: len(head)] = head
     with memoryview(frame) as view:
@@ -250,3 +271,20 @@ def read_packet(stream: BinaryIO) -> ControlPacket | None:
                 raise TruncatedFrameError("EOF inside packet body")
             filled += count
     return decode_packet(frame)
+
+
+def write_frame(sock: socket.socket, buffers: list) -> int:
+    """Write the buffers of one encoded frame (``encode_packet``) in order,
+    with ``sendmsg``, so a publish payload goes out without being joined to
+    its head. Loops on partial writes; returns the frame's length in bytes."""
+    length = remaining = sum(map(len, buffers))
+    while True:
+        sent = sock.sendmsg(buffers)
+        remaining -= sent
+        if not remaining:
+            return length
+        # the kernel took part of the frame: drop what it took, send the rest
+        while sent >= len(buffers[0]):
+            sent -= len(buffers[0])
+            buffers = buffers[1:]
+        buffers = [memoryview(buffers[0])[sent:], *buffers[1:]]

@@ -10,6 +10,10 @@ class TruncatedFrameError(CodecError):
     """Input ended before the frame was complete."""
 
 
+class FrameTooLargeError(CodecError):
+    """Frame header declares more bytes than MAX_FRAME_BYTES."""
+
+
 class LengthMismatchError(CodecError):
     """Declared remaining length disagrees with the actual frame body."""
 

@@ -23,7 +23,7 @@ class ConnAck:
 @dataclass(frozen=True)
 class Publish:
     topic: str
-    payload: bytes = b""
+    payload: bytes | memoryview = b""  # decoded: a read-only view of the frame
     qos: int = 0
     packet_id: int | None = None
 

@@ -128,7 +128,7 @@ def test_criterion_1_codec_soundness():
     start = time.perf_counter()
     for i in range(10_000):
         packet = random_packet(rng)
-        if decode_packet(encode_packet(packet)) != packet:
+        if decode_packet(b"".join(encode_packet(packet))) != packet:
             failures.append(f"packet round trip failed: {packet}")
             break
     for i in range(10_000):

@@ -8,8 +8,9 @@ import pytest
 
 from twinet import client as client_mod
 from twinet.client import BrokerUnreachableError, MqttClient
-from twinet.mqtt import (ConnAck, TopicFilter, encode_packet, read_packet,
-                         topic_matches, validate_filter)
+from twinet.mqtt import (ConnAck, Connect, TopicFilter, encode_packet,
+                         encode_remaining_length, read_packet, topic_matches,
+                         validate_filter)
 
 
 def make_client(broker, name):
@@ -28,10 +29,27 @@ class TestSessionHandling:
     def test_first_packet_must_be_connect(self, broker):
         from twinet.mqtt import encode_packet, PingReq
         sock = socket.create_connection((broker.host, broker.port))
-        sock.sendall(encode_packet(PingReq()))
+        sock.sendall(b"".join(encode_packet(PingReq())))
         sock.settimeout(2.0)
         assert sock.recv(16) == b""  # broker closes without responding
         sock.close()
+
+    def test_oversized_frame_header_closes_only_that_connection(self, broker):
+        sub = make_client(broker, "sub")
+        sub.subscribe("t/#", 1)
+        with socket.create_connection((broker.host, broker.port)) as sock, \
+             sock.makefile("rb") as stream:
+            sock.sendall(b"".join(encode_packet(Connect("big"))))
+            assert isinstance(read_packet(stream), ConnAck)
+            # a PUBLISH header declaring 200 MB, and no body
+            sock.sendall(b"\x30" + encode_remaining_length(200_000_000))
+            sock.settimeout(1.0)
+            assert sock.recv(16) == b""  # closed at once, not waiting for the body
+        pub = make_client(broker, "pub")
+        pub.publish("t/x", b"still routed", qos=1)
+        item = sub.poll(timeout=2.0)
+        assert item is not None and item[1] == b"still routed"
+        sub.close(); pub.close()
 
     def test_duplicate_client_id_evicts_old_session(self, broker):
         old = make_client(broker, "dup")
@@ -180,6 +198,24 @@ class TestLifecycle:
         with pytest.raises(BrokerUnreachableError):
             client.connect()
 
+    def test_interrupt_while_starting_still_writes_stats_csv(self, tmp_path,
+                                                             monkeypatch):
+        # A Ctrl-C that lands once the socket listens, while start() starts
+        # the accept thread: the broker still stops and writes its stats.
+        from twinet.broker import run_broker
+        real_start = threading.Thread.start
+
+        def interrupted_start(thread):
+            if thread.name == "broker-accept":
+                raise KeyboardInterrupt
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", interrupted_start)
+        path = tmp_path / "stats.csv"
+        with pytest.raises(KeyboardInterrupt):
+            run_broker("127.0.0.1:0", stats_csv=str(path))
+        assert path.read_text().startswith("counter,value\n")
+
     def test_stop_returns_promptly(self):
         from twinet.broker import Broker
         b = Broker(port=0)
@@ -207,7 +243,7 @@ class TestDeadConnection:
             sock, _ = listener.accept()
             with sock, sock.makefile("rb") as stream:
                 read_packet(stream)
-                sock.sendall(encode_packet(ConnAck(0)))
+                sock.sendall(b"".join(encode_packet(ConnAck(0))))
                 read_packet(stream)
 
         peer = threading.Thread(target=serve_then_hang_up, daemon=True)

@@ -11,7 +11,7 @@ from click.testing import CliRunner
 
 import twinet
 from twinet.cli import main
-from twinet.link import BENCH_CSV_SCHEMA
+from twinet.link import BENCH_CSV_SCHEMA, BENCH_MAX_SIZE
 from twinet.metrics import SchemaError, write_metrics_csv
 from twinet.netsim import TICK_CSV_SCHEMA
 
@@ -145,6 +145,8 @@ class TestPilotCommand:
         pytest.param("pilot", "--seed", "-1", id="pilot--seed"),
         pytest.param("bench", "--samples", "0", id="bench--samples"),
         pytest.param("bench", "--sizes", "-5", id="bench--sizes"),
+        pytest.param("bench", "--sizes", f"1,{BENCH_MAX_SIZE + 1}",
+                     id="bench--sizes-over-one-frame"),
         pytest.param("bench", "--seed", "-1", id="bench--seed"),
         pytest.param("sadr", "--dwell-ticks", "0", id="sadr--dwell-ticks"),
         pytest.param("sadr", "--seed", "-1", id="sadr--seed"),
@@ -220,6 +222,28 @@ class TestScenarioFileValidation:
         key = entry.partition(":")[0]
         assert f"Invalid value for '{key}'" in result.output
         assert not (tmp_path / "sadr.csv").exists()
+
+    # List-valued entries go through click types too: a usage error naming
+    # the key, not a traceback.
+    @pytest.mark.parametrize("command, text, key", [
+        pytest.param("mirror", "mirror:\n  schedule: [[0, 1.0], [0, 2.0]]\n",
+                     "schedule", id="schedule-times-repeat"),
+        pytest.param("mirror", "mirror:\n  schedule: [[0, \"fast\"]]\n",
+                     "schedule", id="schedule-rate-not-a-number"),
+        pytest.param("sadr", "sadr:\n  safe_setup: [1.5, 1.5]\n",
+                     "safe_setup", id="safe-setup-two-rates"),
+        pytest.param("bench", f"bench:\n  sizes: [1, {BENCH_MAX_SIZE + 1}]\n",
+                     "sizes", id="bench-size-over-one-frame"),
+    ])
+    def test_bad_list_entry_rejected(self, tmp_path, command, text, key):
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(text)
+        result = CliRunner().invoke(
+            main, [command, "--scenario-file", str(scenario),
+                   "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert f"Invalid value for '{key}'" in result.output
+        assert os.listdir(tmp_path) == ["scenario.yaml"]
 
     def test_non_mapping_file_rejected(self, tmp_path):
         scenario = tmp_path / "scenario.yaml"

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from twinet import link as link_mod
 from twinet.link import (
+    BENCH_MAX_SIZE,
     EnvelopeError,
     LinkEndpoint,
     MessageEnvelope,
@@ -17,6 +18,7 @@ from twinet.link import (
 )
 from twinet import client as client_mod
 from twinet.client import BrokerUnreachableError
+from twinet.mqtt import MAX_FRAME_BYTES, Publish, encode_packet
 
 
 def envelopes():
@@ -96,6 +98,24 @@ class TestEnvelopeCodec:
         with pytest.raises(EnvelopeError):
             decode_envelope(b'{"topic":"t","seq":0,"sent_at":1,'
                             b'"kind":"BenchPing","payload_b64":"@@"}')
+
+    def test_decoding_a_view_copies_the_payload_out_as_bytes(self):
+        frame = bytearray(encode_envelope(
+            MessageEnvelope("rw/traffic", 3, 5, "TrafficUpdate", b"rates")))
+        env = decode_envelope(memoryview(frame).toreadonly())
+        assert type(env.payload) is bytes and env.payload == b"rates"
+        frame[-5:] = b"RATES"  # the frame's buffer is reused; the envelope keeps its copy
+        assert env.payload == b"rates"
+
+    def test_largest_bench_payload_fills_one_frame(self):
+        for topic in ("bench/ping/rw2dt", "bench/ping/dt2rw"):
+            def frame_bytes(size):
+                data = encode_envelope(
+                    MessageEnvelope(topic, 0, 1, "BenchPing", bytes(size)))
+                return sum(map(len, encode_packet(Publish(topic, data, 1, 1))))
+            assert frame_bytes(BENCH_MAX_SIZE) == MAX_FRAME_BYTES
+            with pytest.raises(ValueError, match="MAX_FRAME_BYTES"):
+                frame_bytes(BENCH_MAX_SIZE + 1)
 
     @pytest.mark.parametrize("field, value", [
         ("seq", -1), ("seq", 2**64), ("sent_at", -1), ("sent_at", 2**64),

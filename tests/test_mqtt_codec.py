@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from twinet.mqtt import (
+    MAX_FRAME_BYTES,
     ConnAck,
     Connect,
     Disconnect,
+    FrameTooLargeError,
     LengthMismatchError,
     MalformedVarintError,
     PingReq,
@@ -24,6 +26,7 @@ from twinet.mqtt import (
     encode_packet,
     encode_remaining_length,
     read_packet,
+    write_frame,
 )
 
 MAX_REMAINING = 268_435_455
@@ -113,10 +116,10 @@ def packets():
 
 class TestPacketCodec:
     def test_pingreq_fixed_frame(self):
-        assert encode_packet(PingReq()) == b"\xc0\x00"
+        assert b"".join(encode_packet(PingReq())) == b"\xc0\x00"
 
     def test_publish_layout(self):
-        frame = encode_packet(Publish("a/b", b"hi", qos=0))
+        frame = b"".join(encode_packet(Publish("a/b", b"hi", qos=0)))
         assert frame[0] == 0x30
         assert frame[1] == 7  # 2-byte topic length prefix + "a/b" + 2-byte payload
         assert frame[2:4] == b"\x00\x03"
@@ -125,7 +128,7 @@ class TestPacketCodec:
 
     @given(packets())
     def test_round_trip(self, packet):
-        assert decode_packet(encode_packet(packet)) == packet
+        assert decode_packet(b"".join(encode_packet(packet))) == packet
 
     def test_qos_packet_id_invariant(self):
         with pytest.raises(ValueError):
@@ -142,7 +145,7 @@ class TestPacketCodec:
             decode_packet(b"\x00\x00")
 
     def test_length_mismatch(self):
-        frame = bytearray(encode_packet(Publish("a", b"xy", qos=0)))
+        frame = bytearray(b"".join(encode_packet(Publish("a", b"xy", qos=0))))
         frame[1] += 1
         with pytest.raises((LengthMismatchError, TruncatedFrameError)):
             decode_packet(bytes(frame))
@@ -176,16 +179,83 @@ class TestReadPacket:
     def test_one_byte_reads_assemble_frames(self):
         packets = [Publish("a/b", bytes(range(256)) * 4, qos=1, packet_id=9),
                    PingReq(), Publish("c", b"", qos=0)]
-        stream = OneByteStream(b"".join(encode_packet(p) for p in packets))
+        stream = OneByteStream(b"".join(b"".join(encode_packet(p)) for p in packets))
         assert [read_packet(stream) for _ in packets] == packets
         assert read_packet(stream) is None  # clean EOF at a frame boundary
 
     def test_eof_mid_body_raises(self):
-        frame = encode_packet(Publish("a/b", b"x" * 300, qos=0))
+        frame = b"".join(encode_packet(Publish("a/b", b"x" * 300, qos=0)))
         with pytest.raises(TruncatedFrameError):
             read_packet(OneByteStream(frame[:-1]))
 
     def test_eof_inside_remaining_length_raises(self):
-        frame = encode_packet(Publish("a/b", b"x" * 300, qos=0))
+        frame = b"".join(encode_packet(Publish("a/b", b"x" * 300, qos=0)))
         with pytest.raises(TruncatedFrameError):
             read_packet(OneByteStream(frame[:2]))  # varint continues past byte 2
+
+    def test_header_over_max_frame_raises_before_allocating(self):
+        # Only the header arrives; a reader that allocated first would wait for
+        # (here: run out of) a 200 MB body and raise TruncatedFrameError.
+        header = b"\x30" + encode_remaining_length(200_000_000)
+        with pytest.raises(FrameTooLargeError):
+            read_packet(OneByteStream(header))
+
+
+class TestFrameLimit:
+    def test_encoder_refuses_frame_over_max(self):
+        payload_max = MAX_FRAME_BYTES - 8  # 1 B type, 4 B length, 3 B topic "a"
+        buffers = encode_packet(Publish("a", bytes(payload_max), qos=0))
+        assert sum(map(len, buffers)) == MAX_FRAME_BYTES
+        with pytest.raises(ValueError, match="MAX_FRAME_BYTES"):
+            encode_packet(Publish("a", bytes(payload_max + 1), qos=0))
+
+
+class FakeSocket:
+    """Takes at most ``step`` bytes per ``sendmsg`` call, as a socket may."""
+
+    def __init__(self, step: int):
+        self.step = step
+        self.calls = 0
+        self.written = bytearray()
+
+    def sendmsg(self, buffers) -> int:
+        self.calls += 1
+        room = self.step
+        for buffer in buffers:
+            chunk = memoryview(buffer)[:room]
+            self.written += chunk
+            room -= len(chunk)
+            if not room:
+                break
+        return self.step - room
+
+
+class TestZeroCopy:
+    def test_decoded_payload_is_a_read_only_view_of_the_frame(self):
+        frame = bytearray(b"".join(
+            encode_packet(Publish("a/b", b"payload", qos=1, packet_id=3))))
+        payload = decode_packet(frame).payload
+        assert isinstance(payload, memoryview) and payload.readonly
+        assert payload.obj is frame
+        frame[-7:] = b"PAYLOAD"  # the view sees the frame's own bytes
+        assert payload == b"PAYLOAD"
+        with pytest.raises(TypeError):
+            payload[0] = 0
+
+    def test_encoded_publish_ends_with_its_own_payload(self):
+        payload = bytes(range(256)) * 4
+        packet = Publish("a/b", payload, qos=1, packet_id=7)
+        assert encode_packet(packet)[-1] is payload
+        assert encode_packet(PingReq()) == [b"\xc0\x00"]
+
+    @pytest.mark.parametrize("step", [1, 7, 4096])
+    def test_writer_finishes_partial_writes(self, step):
+        packet = Publish("bench/ping/rw2dt", random.Random(step).randbytes(1_000_000),
+                         qos=1, packet_id=9)
+        buffers = encode_packet(packet)
+        if step < 4096:
+            assert len(buffers[0]) > step  # the first write ends inside the head
+        sock = FakeSocket(step)
+        assert write_frame(sock, buffers) == sum(map(len, buffers))
+        assert sock.written == b"".join(buffers)
+        assert sock.calls == -(-len(sock.written) // step)

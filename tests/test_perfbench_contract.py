@@ -1,26 +1,69 @@
 """The benchmark in ``perfbench/`` imports and wraps twinet's public names.
 Installing its tracer checks that every one of them still exists, so a
-rename fails here and not only in a traced benchmark run."""
+rename fails here and not only in a traced benchmark run. Sending envelopes
+with the tracer installed checks that the publish path still calls the
+wrapped names, so a traced run does not read n=0 for a layer."""
 
 import sys
+from collections import Counter
 from pathlib import Path
+
+import pytest
+
+from twinet.broker import Broker
+from twinet.link import LinkEndpoint
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_perfbench_imports_and_wraps_twinet():
+@pytest.fixture()
+def perfbench_path():
     sys.path.insert(0, str(PERFBENCH))
     try:
-        import layers
-        import workloads
-        from spans import Tracer
-
-        assert set(workloads.WORKLOADS) >= {"link-bulk", "sadr-gated",
-                                            "pilot-redeploy"}
-        tracer = Tracer()
-        try:
-            layers.install(tracer)
-        finally:
-            tracer.uninstall()
+        yield
     finally:
         sys.path.remove(str(PERFBENCH))
+
+
+def test_perfbench_imports_and_wraps_twinet(perfbench_path):
+    import layers
+    import workloads
+    from spans import Tracer
+
+    assert set(workloads.WORKLOADS) >= {"link-bulk", "sadr-gated",
+                                        "pilot-redeploy"}
+    tracer = Tracer()
+    try:
+        layers.install(tracer)
+    finally:
+        tracer.uninstall()
+
+
+def test_wrapped_layers_see_the_publish_path(perfbench_path):
+    import layers
+    from spans import Tracer
+
+    payload = bytes(range(256)) * 40  # 10 240 B, the 10kB bucket
+    tracer = Tracer()
+    layers.install(tracer)
+    try:
+        with Broker(port=0) as broker, \
+             LinkEndpoint("trace-real", broker.host, broker.port) as real, \
+             LinkEndpoint("trace-twin", broker.host, broker.port) as twin:
+            real.subscribe("bench/ping/dt2rw")
+            twin.subscribe("bench/ping/rw2dt")
+            for sender, receiver, topic in ((real, twin, "bench/ping/rw2dt"),
+                                            (twin, real, "bench/ping/dt2rw")):
+                sender.publish_envelope(topic, "BenchPing", payload)
+                received = receiver.poll_envelope(timeout=5.0)
+                assert received is not None and received.payload == payload
+    finally:
+        tracer.uninstall()
+    spans = Counter((span.name, span.tag) for span in tracer.spans)
+    # per message: the client's publish and the broker's forward
+    assert spans["mqtt.encode", "10kB"] >= 4
+    # per message: the broker's receive and the subscriber's
+    assert spans["mqtt.decode", "10kB"] >= 4
+    assert spans["broker.route", None] >= 2
+    assert spans["link.encode", "10kB"] == 2
+    assert spans["link.decode", "10kB"] == 2
