@@ -1,10 +1,13 @@
 """Single data broker: accepts client connections, maintains subscriptions,
 routes publishes to every matching subscriber.
 
-One handler thread per connection. The session/subscription table is guarded
-by a single lock so that routing a publish is atomic with respect to
-subscription changes, which also gives global FIFO ordering per
-(publisher, topic, subscriber).
+One handler thread per connection. ``_table_lock`` guards the session table,
+each session's subscriptions and its packet ids, and nothing else: a publish
+picks its deliveries under it and sends them after releasing it, so a socket
+write holds only that connection's send lock. A subscriber that stops reading
+stalls only the publishers that route to it (TCP backpressure on them). FIFO
+order per (publisher, subscriber) holds because one publisher's packets are
+read and routed on its one connection thread.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from .mqtt import (
     TopicFilter,
     CodecError,
     encode_packet,
+    packet_ids,
     read_packet,
-    topic_matches,
     validate_filter,
     write_frame,
 )
@@ -48,14 +51,9 @@ class _Connection:
         self.stream = sock.makefile("rb")
         self.client_id: str | None = None  # set on CONNECT
         self.subscriptions: list[tuple[TopicFilter, int]] = []
-        self.next_packet_id = 1
+        self.packet_ids = packet_ids()
         self._send_lock = threading.Lock()
         self.alive = True
-
-    def take_packet_id(self) -> int:
-        pid = self.next_packet_id
-        self.next_packet_id = pid % 0xFFFF + 1
-        return pid
 
     def send(self, packet) -> bool:
         buffers = encode_packet(packet)
@@ -67,7 +65,7 @@ class _Connection:
             except OSError:
                 self.alive = False
                 return False
-        self.broker._count("bytes_out", sent)
+        self.broker._count(bytes_out=sent)
         return True
 
     def close(self) -> None:
@@ -205,7 +203,7 @@ class Broker:
                 prior.close()
             conn.client_id = client_id
             self._sessions[client_id] = conn
-        self._count("connections", 1)
+        self._count(connections=1)
 
     def _drop_connection(self, conn: _Connection) -> None:
         if conn.client_id is None:
@@ -216,52 +214,44 @@ class Broker:
             conn.subscriptions.clear()
 
     def _subscribe(self, conn: _Connection, packet: Subscribe) -> tuple[int, ...]:
-        granted = []
+        added = [(validate_filter(text), max_qos) for text, max_qos in packet.filters]
         with self._table_lock:
-            for filter_text, max_qos in packet.filters:
-                topic_filter = validate_filter(filter_text)
-                conn.subscriptions.append((topic_filter, max_qos))
-                granted.append(max_qos)
-        return tuple(granted)
+            conn.subscriptions += added
+        return tuple(max_qos for _, max_qos in added)
 
     # -- routing -------------------------------------------------------------
 
-    def route_publish(self, publisher: _Connection, pub: Publish) -> int:
-        """Deliver to every session with a matching filter; returns delivery count.
+    def route_publish(self, publisher: _Connection, pub: Publish) -> None:
+        """Deliver to every session with a matching filter.
 
         Overlapping filters within one session deliver a single copy at the
         highest granted qos. Publisher is acked iff the publish was qos 1,
         regardless of whether anyone matched. Each delivery sends the received
         payload view itself, so the payload is never copied on the broker.
         """
-        delivered = 0
+        levels = pub.topic.split("/")  # decode_packet validated the topic
+        deliveries = []
         with self._table_lock:
             for conn in self._sessions.values():
-                if not conn.alive:
+                granted = max((max_qos for topic_filter, max_qos in conn.subscriptions
+                               if topic_filter.matches(levels)), default=None)
+                if granted is None:
                     continue
-                matched = [
-                    max_qos
-                    for topic_filter, max_qos in conn.subscriptions
-                    if topic_matches(topic_filter, pub.topic)
-                ]
-                if not matched:
-                    continue
-                qos = min(pub.qos, max(matched))
-                pid = conn.take_packet_id() if qos == 1 else None
-                if conn.send(Publish(pub.topic, pub.payload, qos, pid)):
-                    delivered += 1
-        self._count("bytes_in", len(pub.payload))
-        self._count("publishes_routed", 1)
-        self._count("deliveries", delivered)
+                qos = min(pub.qos, granted)
+                pid = next(conn.packet_ids) if qos == 1 else None
+                deliveries.append((conn, Publish(pub.topic, pub.payload, qos, pid)))
+        delivered = sum(conn.send(packet) for conn, packet in deliveries)
+        self._count(bytes_in=len(pub.payload), publishes_routed=1,
+                    deliveries=delivered)
         if pub.qos == 1:
             publisher.send(PubAck(pub.packet_id))
-        return delivered
 
     # -- stats ---------------------------------------------------------------
 
-    def _count(self, key: str, amount: int) -> None:
+    def _count(self, **amounts: int) -> None:
         with self._stats_lock:
-            self.stats[key] = self.stats.get(key, 0) + amount
+            for key, amount in amounts.items():
+                self.stats[key] += amount
 
 
 def run_broker(bind_address: str = "127.0.0.1:1883",

@@ -26,6 +26,7 @@ from .mqtt import (
     Subscribe,
     CodecError,
     encode_packet,
+    packet_ids,
     read_packet,
     write_frame,
 )
@@ -41,8 +42,8 @@ class BrokerUnreachableError(ConnectionError):
 _CONNECTION_LOST = object()
 
 # Connection attempts before BrokerUnreachableError, the delay after the first
-# failed one (doubled after each later one), and how long a request waits for
-# its ack. Read at each use, so a test can monkeypatch them.
+# failed one (doubled after each later one), and how long a connect or a request
+# waits for its ack. Read at each use, so a test can monkeypatch them.
 CONNECT_RETRIES = 5
 BACKOFF_S = 0.05
 ACK_TIMEOUT_S = 10.0
@@ -62,7 +63,7 @@ class MqttClient:
         # _send_lock only socket writes, so the reader can PUBACK meanwhile.
         self._io_lock = threading.RLock()
         self._send_lock = threading.Lock()
-        self._next_packet_id = 1
+        self._packet_ids = packet_ids()  # advanced under _io_lock
         self._subscriptions: list[tuple[str, int]] = []
         self._closed = False
 
@@ -88,14 +89,19 @@ class MqttClient:
 
     def _connect_once(self) -> None:
         sock = socket.create_connection((self.host, self.port), timeout=5.0)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        sock.settimeout(None)
         stream = sock.makefile("rb")
-        write_frame(sock, encode_packet(Connect(self.client_id)))
-        ack = read_packet(stream)
-        if not isinstance(ack, ConnAck) or ack.return_code != 0:
+        try:  # a peer that accepts and never answers must not block for ever
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            sock.settimeout(ACK_TIMEOUT_S)
+            write_frame(sock, encode_packet(Connect(self.client_id)))
+            ack = read_packet(stream)
+            if not isinstance(ack, ConnAck) or ack.return_code != 0:
+                raise ConnectionError(f"connect refused: {ack!r}")
+        except BaseException:
+            stream.close()
             sock.close()
-            raise ConnectionError(f"connect refused: {ack!r}")
+            raise
+        sock.settimeout(None)
         self._sock = sock
         self._acks = queue.Queue()
         self._lost = threading.Event()
@@ -156,11 +162,6 @@ class MqttClient:
         with self._send_lock:
             write_frame(sock, buffers)
 
-    def _take_packet_id(self) -> int:
-        pid = self._next_packet_id
-        self._next_packet_id = pid % 0xFFFF + 1
-        return pid
-
     def _wait_ack(self, kind, packet_id: int | None = None):
         """Next ``kind`` ack (with ``packet_id``, if it has one) on this connection."""
         acks = self._acks
@@ -185,14 +186,14 @@ class MqttClient:
             self._subscriptions.append((filter_text, max_qos))
 
     def _subscribe_once(self, filter_text: str, max_qos: int) -> None:
-        pid = self._take_packet_id()
+        pid = next(self._packet_ids)
         self._send(Subscribe(pid, ((filter_text, max_qos),)))
         self._wait_ack(SubAck, pid)
 
     def publish(self, topic: str, payload: bytes, qos: int = 0) -> None:
         """Publish, transparently reconnecting (bounded) on a dead connection."""
         with self._io_lock:
-            pid = self._take_packet_id() if qos == 1 else None
+            pid = next(self._packet_ids) if qos == 1 else None
             packet = Publish(topic, payload, qos, pid)
             try:
                 self._send(packet)

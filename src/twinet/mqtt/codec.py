@@ -32,6 +32,7 @@ from .packets import (
     SubAck,
     Subscribe,
 )
+from .topics import validate_topic
 
 MAX_REMAINING_LENGTH = 268_435_455
 # Largest whole frame (fixed header included) either side sends or accepts. The
@@ -106,13 +107,6 @@ def _decode_string(buf: memoryview, offset: int) -> tuple[str, int]:
     return text, offset + length
 
 
-def _check_topic_name(topic: str) -> None:
-    if not topic:
-        raise BadTopicError("topic name must be non-empty")
-    if "+" in topic or "#" in topic:
-        raise BadTopicError(f"topic name may not contain wildcards: {topic!r}")
-
-
 def encode_packet(packet: ControlPacket) -> list:
     """Encode one control packet as the buffers of its wire frame, in order.
 
@@ -130,7 +124,7 @@ def encode_packet(packet: ControlPacket) -> list:
         parts = [bytes([0x00, packet.return_code])]
         header = _TYPE_CONNACK << 4
     elif isinstance(packet, Publish):
-        _check_topic_name(packet.topic)
+        validate_topic(packet.topic)
         parts = [_encode_string(packet.topic)]
         if packet.qos == 1:
             parts.append(struct.pack(">H", packet.packet_id))
@@ -197,7 +191,7 @@ def _decode_body(ptype: int, flags: int, body: memoryview) -> ControlPacket:
         if qos not in (0, 1):
             raise UnknownPacketTypeError(f"unsupported publish qos {qos}")
         topic, offset = _decode_string(body, 0)
-        _check_topic_name(topic)
+        validate_topic(topic)
         packet_id = None
         if qos == 1:
             if offset + 2 > len(body):

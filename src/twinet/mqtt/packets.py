@@ -7,7 +7,7 @@ no retained messages, wills, QoS 2, or session persistence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Iterator, Union
 
 
 @dataclass(frozen=True)
@@ -80,3 +80,10 @@ class Disconnect:
 ControlPacket = Union[
     Connect, ConnAck, Publish, PubAck, Subscribe, SubAck, PingReq, PingResp, Disconnect
 ]
+
+
+def packet_ids() -> Iterator[int]:
+    """Packet ids 1, 2, ..., 65535, then 1 again, for ever. A generator is not
+    thread-safe, so its owner takes every id under one lock."""
+    while True:
+        yield from range(1, 0x10000)

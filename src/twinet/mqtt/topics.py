@@ -18,6 +18,17 @@ class TopicFilter:
     def __str__(self) -> str:
         return "/".join(self.levels)
 
+    def matches(self, levels: list[str]) -> bool:
+        """True iff a valid topic name, split on '/' into ``levels``, matches."""
+        for i, flevel in enumerate(self.levels):
+            if flevel == "#":
+                return True
+            if i >= len(levels):
+                return False
+            if flevel != "+" and flevel != levels[i]:
+                return False
+        return len(levels) == len(self.levels)
+
 
 def validate_filter(filter_text: str) -> TopicFilter:
     """Parse a filter string, rejecting misplaced wildcards."""
@@ -35,23 +46,15 @@ def validate_filter(filter_text: str) -> TopicFilter:
     return TopicFilter(levels)
 
 
-def validate_topic(topic: str) -> tuple[str, ...]:
-    """Split a wildcard-free topic name into levels."""
+def validate_topic(topic: str) -> None:
+    """Reject an empty topic name or one holding a wildcard."""
     if not topic:
         raise BadTopicError("topic must be non-empty")
     if "+" in topic or "#" in topic:
         raise BadTopicError(f"topic may not contain wildcards: {topic!r}")
-    return tuple(topic.split("/"))
 
 
 def topic_matches(topic_filter: TopicFilter, topic: str) -> bool:
     """True iff the wildcard-free ``topic`` matches ``topic_filter``."""
-    levels = validate_topic(topic)
-    for i, flevel in enumerate(topic_filter.levels):
-        if flevel == "#":
-            return True
-        if i >= len(levels):
-            return False
-        if flevel != "+" and flevel != levels[i]:
-            return False
-    return len(levels) == len(topic_filter.levels)
+    validate_topic(topic)
+    return topic_filter.matches(topic.split("/"))

@@ -5,18 +5,48 @@ import threading
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from twinet import client as client_mod
+from twinet.broker import Broker
 from twinet.client import BrokerUnreachableError, MqttClient
-from twinet.mqtt import (ConnAck, Connect, TopicFilter, encode_packet,
-                         encode_remaining_length, read_packet, topic_matches,
-                         validate_filter)
+from twinet.mqtt import (ConnAck, Connect, SubAck, Subscribe, TopicFilter,
+                         encode_packet, encode_remaining_length, read_packet,
+                         topic_matches, validate_filter)
 
 
 def make_client(broker, name):
     client = MqttClient(name, broker.host, broker.port)
     client.connect()
     return client
+
+
+def within(seconds, call):
+    """Run ``call`` on a daemon thread and return its result, failing if it
+    has not returned after ``seconds``: a call that hangs fails the test
+    instead of hanging the suite."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["result"] = call()
+        except Exception as exc:
+            outcome["error"] = exc
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=seconds)
+    assert not worker.is_alive(), f"still blocked after {seconds} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["result"]
+
+
+def exchange_qos1(pub, sub, topic, payload):
+    """Publish at QoS 1 and return what ``sub`` receives within 1 s."""
+    pub.publish(topic, payload, qos=1)
+    item = sub.poll(timeout=1.0)
+    return None if item is None else bytes(item[1])
 
 
 class TestSessionHandling:
@@ -63,6 +93,47 @@ class TestSessionHandling:
         assert old.poll(timeout=0.3) is None
         for c in (old, new, pub):
             c.close()
+
+
+def closed_within(sock, seconds):
+    """True iff the peer closes ``sock`` within ``seconds``; what it sends
+    before that is read and dropped."""
+    deadline = time.monotonic() + seconds
+    try:
+        while (left := deadline - time.monotonic()) > 0:
+            sock.settimeout(left)
+            if not sock.recv(65536):
+                return True
+    except ConnectionResetError:
+        return True
+    except TimeoutError:
+        pass
+    return False
+
+
+class TestMalformedFrames:
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(garbage=st.binary())
+    def test_garbage_after_connect_closes_only_that_connection(self, broker,
+                                                               monkeypatch,
+                                                               garbage):
+        # one broker serves every example, so what one leaves behind meets the next
+        monkeypatch.setattr(client_mod, "ACK_TIMEOUT_S", 2.0)
+        sub = make_client(broker, "pair-sub")
+        sub.subscribe("pair/#", 1)
+        pub = make_client(broker, "pair-pub")
+        try:
+            with socket.create_connection((broker.host, broker.port)) as sock:
+                try:  # the broker may close as soon as it reads a bad frame
+                    sock.sendall(b"".join(encode_packet(Connect("fuzzed"))) + garbage)
+                    sock.shutdown(socket.SHUT_WR)
+                except (BrokenPipeError, ConnectionResetError):
+                    pass
+                assert closed_within(sock, 1.0)
+            assert exchange_qos1(pub, sub, "pair/x", b"still routed") == b"still routed"
+        finally:
+            sub.close(); pub.close()
 
 
 class TestRouting:
@@ -172,6 +243,66 @@ class TestEndToEnd:
             assert b.stats["connections"] == 0
 
 
+class TestSlowSubscriber:
+    def test_subscriber_that_stops_reading_stalls_no_one_else(self, monkeypatch):
+        # No broker fixture: its teardown would hang where stop() hangs.
+        monkeypatch.setattr(client_mod, "CONNECT_RETRIES", 1)
+        monkeypatch.setattr(client_mod, "ACK_TIMEOUT_S", 2.0)
+        broker = Broker(port=0)
+        broker.start()
+        stalled = socket.create_connection((broker.host, broker.port))
+        clients = []
+        flooded = []
+        stop_flood = threading.Event()
+
+        def flood(flooder, payload):
+            try:
+                for _ in range(64):
+                    if stop_flood.is_set():
+                        return
+                    flooder.publish("t/x", payload)
+                    flooded.append(1)
+            except OSError:  # the broker stopped under it
+                pass
+
+        try:
+            with stalled.makefile("rb") as stream:
+                stalled.sendall(b"".join(encode_packet(Connect("stalled"))))
+                assert isinstance(read_packet(stream), ConnAck)
+                stalled.sendall(b"".join(encode_packet(Subscribe(1, (("t/#", 0),)))))
+                assert isinstance(read_packet(stream), SubAck)
+            # from here on nothing reads the stalled subscriber's socket
+            sub = make_client(broker, "pair-sub")
+            sub.subscribe("pair/#", 1)
+            pub = make_client(broker, "pair-pub")
+            flooder = make_client(broker, "flooder")
+            clients += [sub, pub, flooder]
+            flooding = threading.Thread(target=flood, args=(flooder, b"f" * (1 << 20)),
+                                        daemon=True)
+            flooding.start()
+            seen, deadline = -1, time.monotonic() + 10.0
+            while seen != len(flooded):  # until the flood makes no headway
+                seen = len(flooded)
+                assert time.monotonic() < deadline
+                time.sleep(0.2)
+            assert seen < 64, "the socket buffers took the whole flood"
+
+            late = within(1.0, lambda: make_client(broker, "late"))
+            clients.append(late)
+            within(1.0, lambda: late.subscribe("late/#", 1))
+            assert within(1.0, lambda: exchange_qos1(
+                pub, sub, "pair/x", b"unrelated")) == b"unrelated"
+            within(1.0, broker.stop)
+            flooding.join(timeout=2.0)  # stop() also frees the stalled publisher
+            assert not flooding.is_alive()
+        finally:
+            stalled.close()  # unblocks a broker that waits on this socket
+            stop_flood.set()
+            broker.stop()
+            for client in clients:
+                client.close()
+
+
 class TestLifecycle:
     def test_bind_failure_reported(self, broker):
         from twinet.broker import Broker
@@ -215,6 +346,17 @@ class TestLifecycle:
         with pytest.raises(KeyboardInterrupt):
             run_broker("127.0.0.1:0", stats_csv=str(path))
         assert path.read_text().startswith("counter,value\n")
+
+    def test_connect_to_a_peer_that_never_acks_raises_after_retries(self,
+                                                                     monkeypatch):
+        monkeypatch.setattr(client_mod, "CONNECT_RETRIES", 2)
+        monkeypatch.setattr(client_mod, "BACKOFF_S", 0.01)
+        monkeypatch.setattr(client_mod, "ACK_TIMEOUT_S", 0.2)
+        # the kernel accepts the TCP connection; no CONNACK ever comes
+        with socket.create_server(("127.0.0.1", 0)) as silent:
+            client = MqttClient("x", *silent.getsockname())
+            with pytest.raises(BrokerUnreachableError):
+                within(1.0, client.connect)
 
     def test_stop_returns_promptly(self):
         from twinet.broker import Broker
