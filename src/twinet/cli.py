@@ -114,6 +114,7 @@ def _rate_schedule(value) -> RateSchedule:
 
 COUNT = click.IntRange(min=1)
 SEED = click.IntRange(min=0)  # numpy's rule; bench seeds follow it too
+HORIZON = click.IntRange(min=1, max=sadr_mod.EVAL_MAX_HORIZON)
 SIZES = click.types.FuncParamType(_payload_sizes)
 SAFE_SETUP = click.types.FuncParamType(_safe_setup)
 SCHEDULE = click.types.FuncParamType(_rate_schedule)
@@ -355,7 +356,7 @@ def sadr_cmd(reps, dwell_ticks, seed, arm, scenario_file, out) -> None:
             click.FLOAT),
         safe_setup=safe_setup,
         twin_horizon_ticks=_pick(None, section, "twin_horizon_ticks",
-                                 sadr_mod.DEFAULT_HORIZON_TICKS, COUNT),
+                                 sadr_mod.DEFAULT_HORIZON_TICKS, HORIZON),
     )
     arms = ("gated", "ungated") if arm == "both" else (arm,)
     with broker_mod.Broker(port=0) as broker:

@@ -84,12 +84,18 @@ ENVELOPE_MAGIC = b"TW"
 ENVELOPE_VERSION = 1
 _HEADER = struct.Struct(">2sBBQQH")  # magic, version, kind, seq, sent_at, topic length
 
-# Largest bench payload whose QoS-1 frame fits MAX_FRAME_BYTES: the frame adds
-# a fixed header with a 4 B remaining length, the topic with its 2 B length, a
-# 2 B packet id, and the envelope header and topic.
-_BENCH_TOPIC_BYTES = len("bench/ping/rw2dt")  # and bench/ping/dt2rw
-BENCH_MAX_SIZE = (MAX_FRAME_BYTES - (1 + 4) - (2 + _BENCH_TOPIC_BYTES) - 2
-                  - (_HEADER.size + _BENCH_TOPIC_BYTES))
+
+def max_payload_bytes(topic: str) -> int:
+    """Largest envelope payload whose QoS-1 frame on ``topic`` fits
+    MAX_FRAME_BYTES: the frame adds a fixed header with a 4 B remaining
+    length, the topic with its 2 B length, a 2 B packet id, and the envelope
+    header and topic."""
+    topic_bytes = len(topic.encode("utf-8"))
+    return (MAX_FRAME_BYTES - (1 + 4) - (2 + topic_bytes) - 2
+            - (_HEADER.size + topic_bytes))
+
+
+BENCH_MAX_SIZE = max_payload_bytes("bench/ping/rw2dt")  # and bench/ping/dt2rw
 
 
 class EnvelopeError(ValueError):

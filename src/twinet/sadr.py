@@ -23,7 +23,8 @@ from typing import Callable
 import numpy as np
 
 from .link import (TOPIC_DT_EVAL_RESULT, TOPIC_RW_REQUEST, EnvelopeError,
-                   LinkEndpoint, MessageEnvelope, TwinService, unpack_payload)
+                   LinkEndpoint, MessageEnvelope, TwinService,
+                   max_payload_bytes, unpack_payload)
 from .netsim import CellSim, NetworkState, ScenarioConfig
 
 log = logging.getLogger(__name__)
@@ -105,6 +106,9 @@ class SadrConfig:
     def __post_init__(self) -> None:
         if self.risk_threshold <= 0:
             raise ValueError("risk_threshold must be positive")
+        if not 1 <= self.twin_horizon_ticks <= EVAL_MAX_HORIZON:
+            raise ValueError(f"twin_horizon_ticks must be in 1..{EVAL_MAX_HORIZON}, "
+                             f"got {self.twin_horizon_ticks}")
 
 
 @dataclass(frozen=True)
@@ -182,8 +186,18 @@ class SadrController:
 _EVAL_REQUEST = ">QI"  # request_id, horizon; then an f8 rate per UE
 _EVAL_RESULT = ">Qd"  # request_id, twin_reward; then an f8 reward per tick
 
+# Largest horizon whose EvalResult, one f8 per tick, still fits one frame.
+EVAL_MAX_HORIZON = (max_payload_bytes(TOPIC_DT_EVAL_RESULT)
+                    - struct.calcsize(_EVAL_RESULT)) // 8
+
+
+def _check_horizon(horizon: int) -> None:
+    if not 1 <= horizon <= EVAL_MAX_HORIZON:
+        raise EnvelopeError(f"horizon {horizon} is outside 1..{EVAL_MAX_HORIZON}")
+
 
 def encode_eval_request(req: TrafficRequest, horizon: int) -> bytes:
+    _check_horizon(horizon)
     rates = req.risk_vector
     return struct.pack(f"{_EVAL_REQUEST}{len(rates)}d", req.request_id,
                        horizon, *rates)
@@ -191,6 +205,7 @@ def encode_eval_request(req: TrafficRequest, horizon: int) -> bytes:
 
 def decode_eval_request(payload: bytes) -> tuple[TrafficRequest, int]:
     request_id, horizon, *rates = unpack_payload(_EVAL_REQUEST, payload)
+    _check_horizon(horizon)
     req = TrafficRequest(request_id=request_id, action_indices=(),
                          risk_vector=tuple(rates))
     return req, horizon
@@ -253,7 +268,10 @@ class LocalTwinGate:
         self._pending = req
 
     def result(self, request_id: int) -> TwinEvaluation:
-        assert self._pending is not None and self._pending.request_id == request_id
+        """The evaluation of the request last sent; KeyError if ``request_id``
+        is not that request, which then stays pending."""
+        if self._pending is None or self._pending.request_id != request_id:
+            raise KeyError(f"request {request_id} is not pending")
         req, self._pending = self._pending, None
         return twin_evaluate(twin_sim_for(self.scenario, req.request_id), req,
                              self.horizon)
@@ -333,8 +351,12 @@ def run_escalating_scenario(
     """Play escalating traffic requests, once twin-gated and once ungated.
 
     Every (repetition, instance) pair gets a fresh real-side sim whose seed
-    does not depend on the arm, so low-demand instances (where the gate never
-    triggers) produce bitwise-equal rewards in both arms.
+    does not depend on the arm, so its dwell rewards depend only on the rates
+    staged on it. The arms stage the same rates on an instance below the risk
+    threshold, and on one the twin approves; there the second arm reuses the
+    first arm's block instead of simulating it again, so every row is the
+    one a plain run of that block gives. The gated arm still consults the
+    twin for every risky request, so the twin's streams are unchanged too.
     """
     instances = instances if instances is not None else default_instances(scenario.n_ues)
     gate = gate_factory() if gate_factory is not None else LocalTwinGate(
@@ -342,25 +364,33 @@ def run_escalating_scenario(
     )
     result = ScenarioResult()
     for rep in range(repetitions):
+        dwelt: dict[tuple, float] = {}  # (instance, staged rates) -> mean reward
         for arm in arms:
             for idx, actions in enumerate(instances):
-                sim = CellSim(reseeded(scenario, rep, idx))
                 request_id = rep * 1000 + idx
                 req = TrafficRequest.from_actions(request_id, actions)
                 if arm == "ungated":
-                    sim.apply_allocation(req.risk_vector)
+                    sim, rates = None, req.risk_vector
                 else:
+                    sim = CellSim(reseeded(scenario, rep, idx))
                     controller = SadrController(sadr_config, sim,
                                                 send_eval_request=gate.send)
                     decision = controller.on_traffic_request(req)
                     if decision == DEFER_TO_TWIN:
                         evaluation = gate.result(request_id)
                         controller.on_twin_evaluation_completed(evaluation)
-                rewards = dwell_rewards(sim, dwell_ticks)
+                    rates = controller.applied_rates  # None: nothing staged
+                key = (idx, rates)
+                if key not in dwelt:
+                    if sim is None:
+                        sim = CellSim(reseeded(scenario, rep, idx))
+                        sim.apply_allocation(rates)
+                    rewards = dwell_rewards(sim, dwell_ticks)
+                    dwelt[key] = round(float(np.mean(rewards)), 9)
                 result.rows.append({
                     "instance": idx,
                     "arm": arm,
                     "repetition": rep,
-                    "mean_reward": round(float(np.mean(rewards)), 9),
+                    "mean_reward": dwelt[key],
                 })
     return result

@@ -112,6 +112,24 @@ class TestSadrCommand:
         assert {r["arm"] for r in rows} == {"gated", "ungated"}
         assert first == run("b")
 
+    def test_both_equals_gated_and_ungated(self, tmp_path):
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(
+            "sadr:\n  twin_horizon_ticks: 10\n  app_requirements: 2.9\n"
+        )
+
+        def rows(flag):
+            out = tmp_path / flag.lstrip("-")
+            out.mkdir()
+            run_cli(["sadr", "--reps", "2", "--dwell-ticks", "10", "--seed", "3",
+                     flag, "--scenario-file", str(scenario), "--out", str(out)])
+            return {(r["repetition"], r["arm"], r["instance"]): r
+                    for r in read_csv(out / "sadr.csv")}
+
+        both = rows("--both")
+        assert len(both) == 2 * 2 * 9
+        assert both == {**rows("--gated"), **rows("--ungated")}
+
     def test_single_arm_flag(self, tmp_path):
         scenario = tmp_path / "scenario.yaml"
         scenario.write_text(

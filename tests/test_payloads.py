@@ -7,9 +7,12 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from twinet import pilotguard as pg
-from twinet.link import EnvelopeError, MessageEnvelope
+from twinet.link import (TOPIC_DT_EVAL_RESULT, EnvelopeError, MessageEnvelope,
+                         encode_envelope)
+from twinet.mqtt import MAX_FRAME_BYTES, Publish, encode_packet
 from twinet.netsim import CellSim, ScenarioConfig
 from twinet.sadr import (
+    EVAL_MAX_HORIZON,
     TrafficRequest,
     TwinEvaluation,
     decode_eval_request,
@@ -91,8 +94,8 @@ class TestRoundTrip:
 
     def test_eval_request(self):
         req = TrafficRequest(2**40, (), (0.1, 1.0 / 3.0, 4.5))
-        assert decode_eval_request(encode_eval_request(req, 2**32 - 1)) == (
-            req, 2**32 - 1)
+        assert decode_eval_request(encode_eval_request(req, EVAL_MAX_HORIZON)) == (
+            req, EVAL_MAX_HORIZON)
 
     @pytest.mark.parametrize("rewards", [(), (2.9, -0.1, 1e-300)])
     def test_eval_result(self, rewards):
@@ -129,6 +132,27 @@ class TestRejection:
         with pytest.raises(EnvelopeError):
             decode_eval_result(
                 encode_eval_result(TwinEvaluation(1, 2.0, (1.0, 2.0)))[:-3])
+
+    @pytest.mark.parametrize("horizon", [0, EVAL_MAX_HORIZON + 1, 2**32 - 1])
+    def test_eval_request_horizon_out_of_range(self, horizon):
+        # 0 would average an empty block; above the maximum the EvalResult
+        # would not fit one frame, after the twin had simulated every tick.
+        req = TrafficRequest(1, (), (1.0,))
+        with pytest.raises(EnvelopeError, match="horizon"):
+            encode_eval_request(req, horizon)
+        with pytest.raises(EnvelopeError, match="horizon"):
+            decode_eval_request(struct.pack(">QId", 1, horizon, 1.0))
+
+    def test_largest_eval_result_fits_one_frame(self):
+        def frame_bytes(horizon):  # zero bytes stand in for the tick rewards
+            payload = struct.pack(">Qd", 1, 2.0) + bytes(8 * horizon)
+            data = encode_envelope(MessageEnvelope(
+                TOPIC_DT_EVAL_RESULT, 0, 1, "EvalResult", payload))
+            return sum(map(len, encode_packet(
+                Publish(TOPIC_DT_EVAL_RESULT, data, 1, 1))))
+        assert frame_bytes(EVAL_MAX_HORIZON) <= MAX_FRAME_BYTES
+        with pytest.raises(ValueError, match="MAX_FRAME_BYTES"):
+            frame_bytes(EVAL_MAX_HORIZON + 1)
 
     @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
     def test_non_finite_traffic_rate(self, rate):

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from twinet import sadr as sadr_mod
 from twinet.link import TOPIC_DT_EVAL_RESULT, TOPIC_RW_REQUEST, LinkEndpoint
 from twinet.netsim import CellSim, NetworkState, ScenarioConfig, UEStat
 from twinet.sadr import (
@@ -126,6 +127,21 @@ class TestTwinEvaluate:
         assert evaluation.twin_reward == pytest.approx(np.mean(recomputed))
 
 
+class TestSadrConfig:
+    def test_horizon_outside_one_frame_rejected(self):
+        for horizon in (0, sadr_mod.EVAL_MAX_HORIZON + 1):
+            with pytest.raises(ValueError, match="twin_horizon_ticks"):
+                SadrConfig(risk_threshold=0.8, app_requirements=2.5,
+                           safe_setup=(1.5, 1.5, 1.5),
+                           twin_horizon_ticks=horizon)
+
+    def test_largest_horizon_accepted(self):
+        config = SadrConfig(risk_threshold=0.8, app_requirements=2.5,
+                            safe_setup=(1.5, 1.5, 1.5),
+                            twin_horizon_ticks=sadr_mod.EVAL_MAX_HORIZON)
+        assert config.twin_horizon_ticks == sadr_mod.EVAL_MAX_HORIZON
+
+
 def controller(send=lambda req: None, threshold=0.8, app_req=2.5):
     sim = CellSim(ScenarioConfig(psr_noise_sigma=0.0, seed=0))
     config = SadrConfig(risk_threshold=threshold, app_requirements=app_req,
@@ -242,6 +258,46 @@ class TestEscalatingScenario:
             2.261870846997307, 2.2292872599075384, 2.258479715271956,
             2.268306366514832, 2.1907457996853683)
 
+    def test_golden_config_scores_each_shared_block_once(self, monkeypatch):
+        # Instances (1, 1, 1) and (6, 6, 6) stage the same rates in both arms
+        # (below the threshold, and approved by the twin): 6 rows, 4 blocks.
+        calls = []
+
+        def counting(sim, ticks):
+            calls.append(ticks)
+            return dwell_rewards(sim, ticks)
+
+        monkeypatch.setattr(sadr_mod, "dwell_rewards", counting)
+        config = SadrConfig(risk_threshold=0.8,
+                            app_requirements=2.981427701594035,
+                            safe_setup=(1.5, 1.5, 1.5), twin_horizon_ticks=10)
+        result = run_escalating_scenario(ScenarioConfig(seed=12), config,
+                                         repetitions=1, dwell_ticks=15,
+                                         instances=[(1, 1, 1), (6, 6, 6), (9, 9, 9)])
+        assert len(result.rows) == 6
+        assert calls.count(15) == 4  # the twin's blocks are 10 ticks
+
+    @pytest.mark.parametrize("seed", [0, 7, 12])
+    def test_both_arms_equal_single_arm_runs(self, seed):
+        # A single-arm run shares no blocks, so it is the plain computation.
+        scenario = ScenarioConfig(seed=seed)
+        safe = (1.5, 1.5, 1.5)
+        config = SadrConfig(
+            risk_threshold=0.8,
+            app_requirements=calibrate_app_requirements(scenario, safe, horizon=20),
+            safe_setup=safe, twin_horizon_ticks=10)
+
+        def rows(arms):
+            result = run_escalating_scenario(scenario, config, repetitions=2,
+                                             dwell_ticks=15, arms=arms)
+            return {(r["repetition"], r["arm"], r["instance"]): r
+                    for r in result.rows}
+
+        both = rows(("gated", "ungated"))
+        assert len(both) == 2 * 2 * 9
+        assert both == {**rows(("gated",)), **rows(("ungated",))}
+        assert both == rows(("ungated", "gated"))
+
     def test_default_instances_escalate(self):
         instances = default_instances(3)
         demands = [sum(map_action_to_rate(a) for a in inst)
@@ -311,6 +367,18 @@ class TestTwinEvalService:
         assert not worker.is_alive()
         assert evaluation.request_id == 3
         assert twin_link.decode_errors == 3
+
+
+class TestLocalTwinGate:
+    def test_result_for_a_request_not_sent_raises_key_error(self):
+        gate = LocalTwinGate(ScenarioConfig(psr_noise_sigma=0.0, seed=4),
+                             horizon=5)
+        with pytest.raises(KeyError, match="request 3"):
+            gate.result(3)
+        gate.send(TrafficRequest(3, (9, 9, 9), (4.5, 4.5, 4.5)))
+        with pytest.raises(KeyError, match="request 4"):
+            gate.result(4)
+        assert gate.result(3).request_id == 3  # still pending after the miss
 
 
 class TestLinkTwinGate:
