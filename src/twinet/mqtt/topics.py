@@ -1,7 +1,8 @@
 """Topic filter validation and wildcard matching.
 
 Standard MQTT semantics: '+' matches exactly one level, '#' matches zero or
-more trailing levels and must be the final level of a filter.
+more trailing levels and must be the final level of a filter. Neither
+matches a first level that starts with '$' (MQTT 3.1.1 section 4.7.2).
 """
 
 from __future__ import annotations
@@ -19,13 +20,20 @@ class TopicFilter:
         return "/".join(self.levels)
 
     def matches(self, levels: list[str]) -> bool:
-        """True iff a valid topic name, split on '/' into ``levels``, matches."""
+        """True iff a valid topic name, split on '/' into ``levels``, matches.
+
+        A wildcard in the first level does not match a topic name that starts
+        with '$' (MQTT 3.1.1 section 4.7.2), so '#' does not see '$SYS/...'.
+        """
         for i, flevel in enumerate(self.levels):
             if flevel == "#":
-                return True
+                return i > 0 or not levels[0].startswith("$")
             if i >= len(levels):
                 return False
-            if flevel != "+" and flevel != levels[i]:
+            if flevel == "+":
+                if i == 0 and levels[0].startswith("$"):
+                    return False
+            elif flevel != levels[i]:
                 return False
         return len(levels) == len(self.levels)
 

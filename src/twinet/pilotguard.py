@@ -232,34 +232,86 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
-def _check_batch(x: np.ndarray) -> None:
+def _check_batch(x: np.ndarray, y: np.ndarray, n_classes: int) -> None:
     if x.shape[0] == 0:
         raise ValueError("batch must be non-empty")
     if not np.isfinite(x).all():
         raise ValueError("non-finite features in batch")
+    y = np.asarray(y)
+    if y.shape != (x.shape[0],) or not np.issubdtype(y.dtype, np.integer):
+        raise ValueError(f"labels must be 1-D integers, one per row; got "
+                         f"{y.dtype} of shape {y.shape} for {x.shape[0]} rows")
+    if y.min() < 0 or y.max() >= n_classes:
+        raise ValueError(f"labels must lie in [0, {n_classes})")
 
 
-def _loss_and_gradient(weights: np.ndarray, bias: np.ndarray,
-                       x: np.ndarray, y: np.ndarray):
-    """``loss_and_gradient`` without its batch checks.
+def _class_sum(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Sum the rows of a (C, n) array into ``out``, adding the C values of
+    each column in the order numpy's pairwise sum adds one contiguous row of
+    C (``(n, C).sum(axis=1)``): one by one below 8; eight running sums
+    combined as a tree, then the rest one by one, up to 128; above that, the
+    two halves split at a multiple of 8, each summed the same way."""
+    c = len(rows)
+    if c < 8:
+        np.copyto(out, rows[0])
+        for row in rows[1:]:
+            out += row
+        return out
+    if c > 128:
+        half = c // 2
+        half -= half % 8
+        np.add(_class_sum(rows[:half], out),
+               _class_sum(rows[half:], np.empty_like(out)), out=out)
+        return out
+    whole = c - c % 8
+    partial = rows[:8].copy()
+    for start in range(8, whole, 8):
+        partial += rows[start:start + 8]
+    while len(partial) > 1:  # ((0+1)+(2+3))+((4+5)+(6+7))
+        partial = partial[0::2] + partial[1::2]
+    np.copyto(out, partial[0])
+    for row in rows[whole:]:
+        out += row
+    return out
 
-    The row-wise max and exp run class-major, on a (C, n) copy of the
-    logits, so they sweep the long axis instead of n rows of 5-7 classes.
-    Every product and every sum whose order could change a bit is the same
-    numpy call on the same (n, C) layout as a plain row-major softmax, so
-    the results are equal to it bit for bit for any shape.
+
+class _TrainingStep:
+    """Mean cross-entropy and its gradient over one fixed, checked batch,
+    equal bit for bit to a plain row-major softmax step.
+
+    Both matrix products stay the row-major calls on an (n, C) buffer: the
+    other orientation is faster, but gives other bits on some BLAS builds
+    and shapes. Between them, the bias, max, exp, class sum and divide run
+    on a class-major (C, n) copy, where each sweeps the long axis instead of
+    n rows of 5-7 classes; ``_class_sum`` adds in numpy's row-sum order. The
+    bias gradient is the sequential sum over samples that ``mean(axis=0)``
+    makes on the (n, C) buffer; ``einsum`` makes it without one reduce call
+    per row. The buffers are reused; the returned gradients are fresh.
     """
-    n = x.shape[0]
-    rows = np.arange(n)
-    z = np.ascontiguousarray((x @ weights.T).T)
-    z += bias[:, None]
-    z -= z.max(axis=0)
-    np.exp(z, out=z)
-    probs = np.ascontiguousarray(z.T)
-    probs /= probs.sum(axis=1, keepdims=True)
-    loss = float(-np.mean(np.log(probs[rows, y])))
-    probs[rows, y] -= 1.0  # probs - onehot(y)
-    return loss, probs.T @ x / n, probs.mean(axis=0)
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, n_classes: int):
+        n = x.shape[0]
+        self.x = x
+        self.logits = np.empty((n, n_classes))
+        self.class_major = np.empty((n_classes, n))
+        self.per_sample = np.empty(n)
+        self.target = np.asarray(y, dtype=np.intp) * n + np.arange(n)
+        self.onehot = np.zeros((n_classes, n))
+        self.onehot.flat[self.target] = 1.0
+
+    def __call__(self, weights: np.ndarray, bias: np.ndarray):
+        x, logits, z, per_sample = self.x, self.logits, self.class_major, self.per_sample
+        n = x.shape[0]
+        np.matmul(x, weights.T, out=logits)
+        np.add(logits.T, bias[:, None], out=z)
+        z -= np.max(z, axis=0, out=per_sample)
+        np.exp(z, out=z)
+        z /= _class_sum(z, per_sample)
+        np.take(z, self.target, out=per_sample, mode="clip")  # indices in range
+        loss = float(-np.mean(np.log(per_sample, out=per_sample)))
+        z -= self.onehot  # probs - onehot(y)
+        np.copyto(logits, z.T)
+        return loss, logits.T @ x / n, np.einsum("ij->j", logits) / n
 
 
 def loss_and_gradient(weights: np.ndarray, bias: np.ndarray,
@@ -268,8 +320,8 @@ def loss_and_gradient(weights: np.ndarray, bias: np.ndarray,
 
     probs = softmax(W x + b); dW = mean((probs - onehot) x^T), db likewise.
     """
-    _check_batch(x)
-    return _loss_and_gradient(weights, bias, x, y)
+    _check_batch(x, y, weights.shape[0])
+    return _TrainingStep(x, y, weights.shape[0])(weights, bias)
 
 
 def train_model(config: PilotConfig,
@@ -281,14 +333,15 @@ def train_model(config: PilotConfig,
     """Full-batch gradient descent; returns the model and per-iteration losses.
 
     The batch is checked once, not on every iteration."""
-    _check_batch(x_train)
     n_classes = config.n_pilots + 1
+    _check_batch(x_train, y_train, n_classes)
+    step = _TrainingStep(x_train, y_train, n_classes)
     rng = np.random.default_rng(seed)
     weights = rng.normal(0.0, 0.01, (n_classes, config.n_subcarriers))
     bias = np.zeros(n_classes)
     history: list[float] = []
     for iteration in range(iterations):
-        loss, grad_w, grad_b = _loss_and_gradient(weights, bias, x_train, y_train)
+        loss, grad_w, grad_b = step(weights, bias)
         if not np.isfinite(loss):
             raise TrainingDivergedError(iteration)
         history.append(loss)

@@ -197,10 +197,24 @@ class TestClassMajorOracle:
         assert model.bias.tobytes() == bias.tobytes()
         assert history == ref_history
 
+    def test_train_model_equals_row_major_loop_at_the_factory_batch(self):
+        config = pg.PilotConfig.for_scenario("40 MHz", seed=16)
+        x_train, y_train, _, _, stats = pg.make_dataset(
+            config, pg.DEFAULT_N_TRAIN, 10, seed=16)
+        model, history = pg.train_model(config, x_train, y_train, stats, seed=16)
+        weights, bias, ref_history = reference_training(config, x_train, y_train,
+                                                        seed=16)
+        assert model.weights.tobytes() == weights.tobytes()
+        assert model.bias.tobytes() == bias.tobytes()
+        assert history == ref_history
+
     # (n, K, classes): shapes where a (C, n) product or a class-by-class
-    # sum gives other bits than the row-major form on some BLAS builds
+    # sum gives other bits than the row-major form on some BLAS builds; 9
+    # and 17 classes reach the row sum's remainder after eight running sums
+    # and a second block of eight; one class makes every delta exactly zero
     @pytest.mark.parametrize("n, k, classes", [(257, 9, 5), (300, 64, 8),
-                                               (463, 26, 12)])
+                                               (463, 26, 12), (311, 17, 9),
+                                               (520, 33, 17), (64, 5, 1)])
     def test_loss_and_gradient_equals_row_major(self, n, k, classes):
         rng = np.random.default_rng(14)
         x = rng.normal(size=(n, k))
@@ -212,6 +226,29 @@ class TestClassMajorOracle:
         assert loss == ref_loss
         assert grad_w.tobytes() == ref_w.tobytes()
         assert grad_b.tobytes() == ref_b.tobytes()
+
+    @pytest.mark.parametrize("classes", [1, 2, 7, 8, 9, 16, 17, 128, 129, 300])
+    def test_class_sum_equals_numpy_row_sum(self, classes):
+        rng = np.random.default_rng(classes)
+        rows_major = np.exp(3.0 * rng.normal(size=(97, classes)))
+        total = pg._class_sum(np.ascontiguousarray(rows_major.T), np.empty(97))
+        assert total.tobytes() == rows_major.sum(axis=1).tobytes()
+
+    def test_step_results_do_not_alias_its_buffers(self):
+        rng = np.random.default_rng(15)
+        x = rng.normal(size=(40, 6))
+        y = rng.integers(0, 4, 40)
+        step = pg._TrainingStep(x, y, 4)
+        weights, bias = rng.normal(size=(4, 6)), rng.normal(size=4)
+        first = step(weights, bias)
+        kept = [grad.copy() for grad in first[1:]]
+        second = step(2.0 * weights, bias - 1.0)
+        buffers = [v for v in vars(step).values() if isinstance(v, np.ndarray)]
+        for grad in (*first[1:], *second[1:]):
+            assert not any(np.shares_memory(grad, buffer) for buffer in buffers)
+        for grad, copy in zip(first[1:], kept):
+            assert grad.tobytes() == copy.tobytes()
+        assert second[1].tobytes() != kept[0].tobytes()
 
     def test_divergence_at_the_reference_iteration(self):
         config = small_config()
@@ -237,6 +274,52 @@ class TestClassMajorOracle:
         x_train[3, 5] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             pg.train_model(config, x_train, y_train, stats)
+
+
+def _train_one_step(x, y):
+    config = small_config()
+    pg.train_model(config, x, y, pg.NormStats(np.zeros(16), np.ones(16)),
+                   iterations=1)
+
+
+def _loss_and_gradient(x, y):
+    pg.loss_and_gradient(np.zeros((4, 16)), np.zeros(4), x, y)
+
+
+class TestLabelCheck:
+    """Both entry points take labels only as 1-D integers in [0, C), one per
+    row; C is 4 here."""
+
+    @pytest.fixture
+    def batch(self):
+        x, y, *_ = pg.make_dataset(small_config(), 40, 8, seed=4)
+        return x, y
+
+    @pytest.mark.parametrize("entry", [_train_one_step, _loss_and_gradient])
+    @pytest.mark.parametrize("bad_label", [-1, 4])
+    def test_label_out_of_range_rejected(self, batch, entry, bad_label):
+        x, y = batch
+        y[7] = bad_label
+        with pytest.raises(ValueError, match=r"in \[0, 4\)"):
+            entry(x, y)
+
+    @pytest.mark.parametrize("entry", [_train_one_step, _loss_and_gradient])
+    @pytest.mark.parametrize("reshape", [
+        lambda y: y.astype(float),
+        lambda y: y.astype(bool),
+        lambda y: y[:-1],
+        lambda y: y[:, None],
+    ], ids=["float", "bool", "one_short", "2d"])
+    def test_labels_not_one_integer_per_row_rejected(self, batch, entry, reshape):
+        x, y = batch
+        with pytest.raises(ValueError, match="1-D integers"):
+            entry(x, reshape(y))
+
+    @pytest.mark.parametrize("entry", [_train_one_step, _loss_and_gradient])
+    def test_every_class_accepted(self, batch, entry):
+        x, y = batch
+        assert set(y) == {0, 1, 2, 3}
+        entry(x, y.astype(np.uint8))
 
 
 class TestTraining:

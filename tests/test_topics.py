@@ -54,6 +54,19 @@ class TestTopicMatches:
         ("a/b", "a/c", False),
         ("+/b", "a/b", True),
         ("a", "a/b", False),
+        # MQTT 3.1.1 section 4.7.2: a wildcard in a filter's first level
+        # does not match a topic name that starts with '$'
+        ("#", "$SYS/broker/clients", False),
+        ("#", "$SYS", False),
+        ("+", "$SYS", False),
+        ("+/broker/#", "$SYS/broker/clients", False),
+        ("$SYS/#", "$SYS/broker/clients", True),
+        ("$SYS/+/clients", "$SYS/broker/clients", True),
+        ("$SYS", "$SYS", True),
+        ("a/#", "a/$b", True),
+        ("+/$b", "a/$b", True),
+        ("#", "a$", True),
+        ("+", "a$", True),
     ])
     def test_examples(self, filter_text, topic, expected):
         assert topic_matches(validate_filter(filter_text), topic) is expected
