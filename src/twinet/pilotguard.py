@@ -300,7 +300,8 @@ class _TrainingStep:
         self.onehot.flat[self.target] = 1.0
 
     def __call__(self, weights: np.ndarray, bias: np.ndarray):
-        x, logits, z, per_sample = self.x, self.logits, self.class_major, self.per_sample
+        x, logits, z = self.x, self.logits, self.class_major
+        per_sample = self.per_sample
         n = x.shape[0]
         np.matmul(x, weights.T, out=logits)
         np.add(logits.T, bias[:, None], out=z)

@@ -186,24 +186,17 @@ def reference_training(config, x, y, learning_rate=pg.DEFAULT_LEARNING_RATE,
 
 
 class TestClassMajorOracle:
-    @pytest.mark.parametrize("label", list(pg.SCENARIOS))
-    def test_train_model_equals_row_major_loop(self, label):
+    # every scenario at 600 samples, and the factory's real batch at 40 MHz
+    @pytest.mark.parametrize("label, n_train", [
+        *((label, 600) for label in pg.SCENARIOS),
+        ("40 MHz", pg.DEFAULT_N_TRAIN),
+    ], ids=[*pg.SCENARIOS, "40 MHz-factory-batch"])
+    def test_train_model_equals_row_major_loop(self, label, n_train):
         config = pg.PilotConfig.for_scenario(label, seed=13)
-        x_train, y_train, _, _, stats = pg.make_dataset(config, 600, 10, seed=13)
+        x_train, y_train, _, _, stats = pg.make_dataset(config, n_train, 10, seed=13)
         model, history = pg.train_model(config, x_train, y_train, stats, seed=13)
         weights, bias, ref_history = reference_training(config, x_train, y_train,
                                                         seed=13)
-        assert model.weights.tobytes() == weights.tobytes()
-        assert model.bias.tobytes() == bias.tobytes()
-        assert history == ref_history
-
-    def test_train_model_equals_row_major_loop_at_the_factory_batch(self):
-        config = pg.PilotConfig.for_scenario("40 MHz", seed=16)
-        x_train, y_train, _, _, stats = pg.make_dataset(
-            config, pg.DEFAULT_N_TRAIN, 10, seed=16)
-        model, history = pg.train_model(config, x_train, y_train, stats, seed=16)
-        weights, bias, ref_history = reference_training(config, x_train, y_train,
-                                                        seed=16)
         assert model.weights.tobytes() == weights.tobytes()
         assert model.bias.tobytes() == bias.tobytes()
         assert history == ref_history
