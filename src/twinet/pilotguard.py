@@ -14,6 +14,7 @@ log-normally, with additive jammer power on the attacked pilot.
 
 from __future__ import annotations
 
+import ctypes
 import logging
 import struct
 import time
@@ -552,6 +553,28 @@ def decode_model_request(payload: bytes) -> tuple[PilotConfig, int]:
     return PilotConfig(k, pilot_indices, label), seed
 
 
+try:
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+    _malloc_trim.argtypes = [ctypes.c_size_t]
+except (AttributeError, OSError, TypeError):  # not glibc
+    _malloc_trim = None
+
+
+def _release_free_heap() -> None:
+    """Hand the free pages of every malloc arena back to the OS (glibc's
+    ``malloc_trim(0)``; a no-op elsewhere).
+
+    A build's arrays of 1-5 MB come from a malloc heap, and free only
+    shrinks a heap down to its highest live block, so one small block left
+    above them keeps the whole freed data set resident. When that happens
+    in one thread's arena while another thread builds in its own, resident
+    memory holds two data sets. ``malloc_trim`` returns the pages of every
+    free block wherever it lies.
+    """
+    if _malloc_trim is not None:
+        _malloc_trim(0)
+
+
 class ModelFactoryService(TwinService):
     """Twin-side factory: synthesizes data and trains a model on request."""
 
@@ -570,7 +593,16 @@ class ModelFactoryService(TwinService):
                     ) -> tuple[ClassifierModel, RedeployTiming]:
         """The model and its three twin-side stage times; transfer and total
         are left at 0 for ``handle`` (the request's transfer) and
-        ``run_redeploy_pipeline`` (the artifact's, and the total) to fill in."""
+        ``run_redeploy_pipeline`` (the artifact's, and the total) to fill in.
+
+        The data set's arrays are freed before it returns, and their pages
+        handed back to the OS (``_release_free_heap``)."""
+        built = self._build(pilots, seed)
+        _release_free_heap()
+        return built
+
+    def _build(self, pilots: PilotConfig, seed: int
+               ) -> tuple[ClassifierModel, RedeployTiming]:
         rng = np.random.default_rng(seed)
         t0 = time.perf_counter()
         train_powers, y_train = generate_labeled_frames(pilots, self.n_train, rng)

@@ -592,6 +592,26 @@ class TestModelFactoryService:
         assert dt_link.decode_errors == 3
 
 
+def _resident_kb() -> int:
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1])
+    raise AssertionError("no VmRSS line")
+
+
+@pytest.mark.skipif(pg._malloc_trim is None, reason="needs glibc malloc_trim")
+def test_release_free_heap_returns_memory_below_a_live_block():
+    np.ones(6 << 17)  # a freed 6 MB mapping raises glibc's mmap threshold
+    base = _resident_kb()
+    a, b = np.ones(5 << 17), np.ones(5 << 17)  # 10 MB, now from the heap
+    pin = np.ones(25_000)  # above them: free cannot shrink the heap past it
+    del a, b
+    pg._release_free_heap()
+    assert _resident_kb() - base < 3 << 10
+    del pin
+
+
 class TestRedeployPipeline:
     def test_timeout_bounds_the_wait(self, broker, trained_station):
         config = small_config()
