@@ -22,6 +22,7 @@ from .mqtt import (
     ConnAck,
     Connect,
     Disconnect,
+    FrameReader,
     PingReq,
     PingResp,
     PubAck,
@@ -32,7 +33,6 @@ from .mqtt import (
     CodecError,
     encode_packet,
     packet_ids,
-    read_packet,
     validate_filter,
     write_frame,
 )
@@ -48,7 +48,7 @@ class _Connection:
     def __init__(self, broker: "Broker", sock: socket.socket):
         self.broker = broker
         self.sock = sock
-        self.stream = sock.makefile("rb")
+        self.reader = FrameReader(sock.makefile("rb"))
         self.client_id: str | None = None  # set on CONNECT
         self.subscriptions: list[tuple[TopicFilter, int]] = []
         self.packet_ids = packet_ids()
@@ -89,14 +89,14 @@ class _Connection:
             self.close()
 
     def _serve(self) -> None:
-        first = read_packet(self.stream)
+        first = self.reader.read_packet()
         if not isinstance(first, Connect):
             log.debug("first packet was %r, closing", first)
             return
         self.broker._register(self, first.client_id)
         self.send(ConnAck(0))
         while self.alive:
-            packet = read_packet(self.stream)
+            packet = self.reader.read_packet()
             if packet is None or isinstance(packet, Disconnect):
                 return
             if isinstance(packet, Publish):
@@ -111,6 +111,7 @@ class _Connection:
             else:
                 log.debug("unexpected packet %r, closing", packet)
                 return
+            del packet  # a routed payload views the reader's buffer: free it for reuse
 
 
 class Broker:
@@ -226,9 +227,15 @@ class Broker:
 
         Overlapping filters within one session deliver a single copy at the
         highest granted qos. Publisher is acked iff the publish was qos 1,
-        regardless of whether anyone matched. Each delivery sends the received
-        payload view itself, so the payload is never copied on the broker.
+        regardless of whether anyone matched, and before any delivery: the
+        broker owns the message once it has read it [MQTT-4.3.2-4], and a
+        publisher that waits for its ack on the thread that also reads a
+        subscriber's socket must not wait on that subscriber. Each delivery
+        sends the received payload view itself, so the payload is never
+        copied on the broker.
         """
+        if pub.qos == 1:
+            publisher.send(PubAck(pub.packet_id))
         levels = pub.topic.split("/")  # decode_packet validated the topic
         deliveries = []
         with self._table_lock:
@@ -243,8 +250,6 @@ class Broker:
         delivered = sum(conn.send(packet) for conn, packet in deliveries)
         self._count(bytes_in=len(pub.payload), publishes_routed=1,
                     deliveries=delivered)
-        if pub.qos == 1:
-            publisher.send(PubAck(pub.packet_id))
 
     # -- stats ---------------------------------------------------------------
 

@@ -1,23 +1,29 @@
 """Minimal MQTT client for the link endpoints.
 
-One broker connection per client; a reader thread feeds received publishes
-into an ordered queue; when the connection ends, requests waiting on it fail
-at once. Publishing on a dead connection triggers bounded
+One broker connection per client, and no thread of its own: whichever call
+needs a packet reads the socket, under one lock that covers every read and
+write of it. ``publish`` at QoS 1, ``subscribe`` and ``ping`` read until
+their ack; ``poll`` reads until a PUBLISH. A PUBLISH read by another call
+waits on a deque for the next ``poll``, and whoever reads a QoS-1 publish
+sends its PUBACK. A connection that ends raises ConnectionError in the call
+that reads it. Publishing on a dead connection triggers bounded
 reconnect-with-backoff, after which the failure is surfaced.
 """
 
 from __future__ import annotations
 
 import logging
-import queue
+import select
 import socket
 import threading
 import time
+from collections import deque
 
 from .mqtt import (
     ConnAck,
     Connect,
     Disconnect,
+    FrameReader,
     PingReq,
     PingResp,
     PubAck,
@@ -27,7 +33,6 @@ from .mqtt import (
     CodecError,
     encode_packet,
     packet_ids,
-    read_packet,
     write_frame,
 )
 
@@ -37,9 +42,6 @@ log = logging.getLogger(__name__)
 class BrokerUnreachableError(ConnectionError):
     """Raised once the reconnect retry budget is exhausted."""
 
-
-# Put on a connection's ack queue by its reader thread when the connection ends.
-_CONNECTION_LOST = object()
 
 # Connection attempts before BrokerUnreachableError, the delay after the first
 # failed one (doubled after each later one), and how long a connect or a request
@@ -54,16 +56,12 @@ class MqttClient:
         self.client_id = client_id
         self.host = host
         self.port = port
-        self.messages: "queue.Queue[tuple[str, memoryview, int]]" = queue.Queue()
         self._sock: socket.socket | None = None
-        # Replaced on every connect: an old connection's end fails no new request.
-        self._acks: "queue.Queue[object]" = queue.Queue()
-        self._lost = threading.Event()
-        # _io_lock serializes requests, each with its wait for its ack;
-        # _send_lock only socket writes, so the reader can PUBACK meanwhile.
-        self._io_lock = threading.RLock()
-        self._send_lock = threading.Lock()
-        self._packet_ids = packet_ids()  # advanced under _io_lock
+        self._reader: FrameReader | None = None
+        # received (topic, payload, recv_ns), in arrival order, not yet polled
+        self._received: deque[tuple[str, memoryview, int]] = deque()
+        self._lock = threading.Lock()  # every read and write of the socket
+        self._packet_ids = packet_ids()  # advanced under _lock
         self._subscriptions: list[tuple[str, int]] = []
         self._closed = False
 
@@ -89,30 +87,27 @@ class MqttClient:
 
     def _connect_once(self) -> None:
         sock = socket.create_connection((self.host, self.port), timeout=5.0)
-        stream = sock.makefile("rb")
+        # Unbuffered, so select sees every byte not yet read; a read on it
+        # never times out once connected, since a timed-out stream refuses
+        # every later read.
+        reader = FrameReader(sock.makefile("rb", buffering=0))
         try:  # a peer that accepts and never answers must not block for ever
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             sock.settimeout(ACK_TIMEOUT_S)
             write_frame(sock, encode_packet(Connect(self.client_id)))
-            ack = read_packet(stream)
+            ack = reader.read_packet()
             if not isinstance(ack, ConnAck) or ack.return_code != 0:
                 raise ConnectionError(f"connect refused: {ack!r}")
         except BaseException:
-            stream.close()
+            reader.stream.close()
             sock.close()
             raise
         sock.settimeout(None)
-        self._sock = sock
-        self._acks = queue.Queue()
-        self._lost = threading.Event()
-        threading.Thread(
-            target=self._read_loop, args=(stream, self._acks, self._lost),
-            name=f"mqtt-reader-{self.client_id}", daemon=True
-        ).start()
+        self._sock, self._reader = sock, reader
 
     def close(self) -> None:
         self._closed = True
-        with self._io_lock:
+        with self._lock:
             if self._sock is not None:
                 try:
                     self._send(Disconnect())
@@ -122,11 +117,12 @@ class MqttClient:
 
     def _teardown(self) -> None:
         if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-        self._sock = None
+            for closable in (self._reader.stream, self._sock):
+                try:
+                    closable.close()
+                except OSError:
+                    pass
+        self._sock = self._reader = None
 
     def _reconnect(self) -> None:
         self._teardown()
@@ -134,54 +130,50 @@ class MqttClient:
         for filter_text, max_qos in self._subscriptions:
             self._subscribe_once(filter_text, max_qos)
 
-    # -- reader --------------------------------------------------------------
+    # -- socket, under _lock -------------------------------------------------
 
-    def _read_loop(self, stream, acks: queue.Queue, lost: threading.Event) -> None:
+    def _send(self, packet) -> None:
+        if self._sock is None:
+            raise ConnectionError("not connected")
+        write_frame(self._sock, encode_packet(packet))
+
+    def _read(self, deadline: float):
+        """Next packet, or None if none starts before ``deadline`` (monotonic).
+        A PUBLISH is stamped, acked at QoS 1 and put on the deque."""
+        if self._sock is None:
+            raise ConnectionError("not connected")
         try:
-            while (packet := read_packet(stream)) is not None:
-                if isinstance(packet, Publish):
-                    recv_ns = time.time_ns()  # on arrival, before this client's ack
-                    if packet.qos == 1:
-                        self._send(PubAck(packet.packet_id))
-                    self.messages.put((packet.topic, packet.payload, recv_ns))
-                elif isinstance(packet, (SubAck, PubAck, PingResp)):
-                    acks.put(packet)
+            wait = max(0.0, deadline - time.monotonic())
+            if not select.select([self._sock], [], [], wait)[0]:
+                return None
+            packet = self._reader.read_packet()
         except (CodecError, OSError, ValueError) as exc:
-            log.debug("reader for %s stopped: %s", self.client_id, exc)
-        finally:
-            lost.set()
-            acks.put(_CONNECTION_LOST)
+            self._teardown()
+            raise ConnectionError(f"connection lost: {exc}") from exc
+        if packet is None:
+            self._teardown()
+            raise ConnectionError("connection closed by the broker")
+        if isinstance(packet, Publish):
+            recv_ns = time.time_ns()  # when read, before this client's ack
+            if packet.qos == 1:
+                self._send(PubAck(packet.packet_id))
+            self._received.append((packet.topic, packet.payload, recv_ns))
+        return packet
+
+    def _wait_ack(self, kind, packet_id: int | None = None):
+        """Read until the ``kind`` ack (with ``packet_id``, if it has one)."""
+        deadline = time.monotonic() + ACK_TIMEOUT_S
+        while True:
+            packet = self._read(deadline)
+            if packet is None:
+                raise TimeoutError(f"no {kind.__name__} for packet id {packet_id}")
+            if isinstance(packet, kind) and getattr(packet, "packet_id", None) == packet_id:
+                return packet
 
     # -- requests ------------------------------------------------------------
 
-    def _send(self, packet) -> None:
-        sock = self._sock
-        if sock is None or self._lost.is_set():
-            raise ConnectionError("not connected")
-        buffers = encode_packet(packet)
-        with self._send_lock:
-            write_frame(sock, buffers)
-
-    def _wait_ack(self, kind, packet_id: int | None = None):
-        """Next ``kind`` ack (with ``packet_id``, if it has one) on this connection."""
-        acks = self._acks
-        deadline = time.monotonic() + ACK_TIMEOUT_S
-        while True:
-            timeout = deadline - time.monotonic()
-            if timeout <= 0:
-                raise TimeoutError(f"no {kind.__name__} for packet id {packet_id}")
-            try:
-                ack = acks.get(timeout=timeout)
-            except queue.Empty:
-                continue
-            if ack is _CONNECTION_LOST:
-                acks.put(ack)  # every later wait on this connection fails too
-                raise ConnectionError(f"connection lost awaiting {kind.__name__}")
-            if isinstance(ack, kind) and getattr(ack, "packet_id", None) == packet_id:
-                return ack
-
     def subscribe(self, filter_text: str, max_qos: int = 0) -> None:
-        with self._io_lock:
+        with self._lock:
             self._subscribe_once(filter_text, max_qos)
             self._subscriptions.append((filter_text, max_qos))
 
@@ -192,7 +184,7 @@ class MqttClient:
 
     def publish(self, topic: str, payload: bytes, qos: int = 0) -> None:
         """Publish, transparently reconnecting (bounded) on a dead connection."""
-        with self._io_lock:
+        with self._lock:
             pid = next(self._packet_ids) if qos == 1 else None
             packet = Publish(topic, payload, qos, pid)
             try:
@@ -206,14 +198,17 @@ class MqttClient:
                 self._wait_ack(PubAck, pid)
 
     def ping(self) -> None:
-        with self._io_lock:
+        with self._lock:
             self._send(PingReq())
             self._wait_ack(PingResp)
 
     def poll(self, timeout: float = 0.0) -> tuple[str, memoryview, int] | None:
-        """Next received (topic, payload, recv_ns) in arrival order, or None.
-        The payload is a read-only view of the received frame, not a copy."""
-        try:  # a 0 s timeout does not wait; Queue.get checks before it waits
-            return self.messages.get(timeout=timeout)
-        except queue.Empty:
-            return None
+        """Next received (topic, payload, recv_ns) in arrival order, or None
+        after ``timeout`` s; holds the lock while it waits. The payload is a
+        read-only view of the received frame, not a copy."""
+        with self._lock:
+            deadline = time.monotonic() + timeout
+            while not self._received:
+                if self._read(deadline) is None:
+                    return None
+            return self._received.popleft()

@@ -64,12 +64,16 @@ BENCH_SAMPLES = 100
 # A size's samples are spread over this many rounds of every size, so that
 # the host's drift over the run falls on all sizes alike.
 BENCH_ROUNDS = 100
-# Unmeasured messages of a size before its samples in a round: the first
-# message after a 1 MB one runs 0.1-0.3 ms slower while its buffers are freed.
-BENCH_WARMUPS = 2
-# Yields before each bench message, so the last message's trailing work (its
-# PUBACKs, the readers going back to their reads) is done before the next
-# stamp on the bench's one CPU.
+# Unmeasured messages of a size before its samples in a round. The first
+# message after a 1 MB one runs 0.1-0.3 ms slower while its buffers are freed,
+# and the next dozen or so a few us slower still, easing off message by
+# message; a 4 ms busy loop in the caller's thread does the same, so the drift
+# follows a long run of the caller's thread, such as its reads of a 1 MB
+# message. With six warm-ups the samples start past most of it.
+BENCH_WARMUPS = 6
+# Yields before each bench message, so the last message's trailing work (the
+# broker's connection threads reading the subscriber's PUBACK and going back
+# to their reads) is done before the next stamp on the bench's one CPU.
 _SETTLE_YIELDS = 3
 # Times a sample is taken again when the CPU spent more of its latency away
 # from this process than in it. On a shared VM the host takes the vCPU away
@@ -279,10 +283,18 @@ class TwinService:
         """Run ``run`` on a daemon thread for the ``with`` block, then stop and
         join it. Raises RuntimeError if the thread is still alive
         ``SERVICE_JOIN_TIMEOUT_S`` later, so a stuck service is not left
-        running unseen."""
+        running unseen, and re-raises the exception that ended ``run``, such
+        as the ConnectionError of a link that died."""
         stop = threading.Event()
-        worker = threading.Thread(target=self.run, args=(stop,),
-                                  name=type(self).__name__, daemon=True)
+        failure: list[Exception] = []
+
+        def run() -> None:
+            try:
+                self.run(stop)
+            except Exception as exc:
+                failure.append(exc)
+
+        worker = threading.Thread(target=run, name=type(self).__name__, daemon=True)
         worker.start()
         try:
             yield self
@@ -292,6 +304,8 @@ class TwinService:
             if worker.is_alive():
                 raise RuntimeError(f"{worker.name} did not stop within "
                                    f"{SERVICE_JOIN_TIMEOUT_S} s")
+            if failure:
+                raise failure[0]
 
 
 # -- latency benchmark -------------------------------------------------------
@@ -334,10 +348,11 @@ class LatencyReport:
 def _threads_on_one_cpu():
     """Keep every thread of this process on one CPU, then restore each mask.
 
-    A bench message is handed from thread to thread (client, broker, reader);
-    on a shared VM a hand-off that wakes another CPU costs a wake-up whose
-    price swings with the host's load, and it drifts from one block of
-    samples to the next by more than the gap between small payload sizes.
+    A bench message is handed from the caller's thread to the broker's
+    connection threads and back; on a shared VM a hand-off that wakes another
+    CPU costs a wake-up whose price swings with the host's load, and it
+    drifts from one block of samples to the next by more than the gap
+    between small payload sizes.
     Threads started inside inherit the mask of the thread that starts them.
     Where thread affinity cannot be set, the bench runs unpinned.
     """
@@ -407,7 +422,10 @@ def run_latency_bench(host: str, port: int, rng: random.Random,
     one CPU while the bench runs, and the garbage collector is paused.
     Sizes are interleaved: each of up to ``BENCH_ROUNDS`` rounds takes a
     share of every size's samples, each share after ``BENCH_WARMUPS``
-    unmeasured messages of its size. A sample whose latency was more time
+    unmeasured messages of its size. Rounds alternate between the given
+    order of sizes and its reverse, so that each size sits as far from the
+    largest one on average, and the slowdown that follows a large message
+    falls on every size alike. A sample whose latency was more time
     away from this process than in it is taken again, up to ``BENCH_RETAKES``
     times, and counted in ``retaken``.
     """
@@ -428,7 +446,7 @@ def run_latency_bench(host: str, port: int, rng: random.Random,
             for round_index in range(rounds):
                 count = (samples_per_size // rounds
                          + (round_index < samples_per_size % rounds))
-                for size in sizes:
+                for size in (sizes if round_index % 2 == 0 else sizes[::-1]):
                     for direction, sender, receiver, topic in pairs:
                         report = reports[(size, direction)]
                         for _ in range(BENCH_WARMUPS):

@@ -231,40 +231,74 @@ def _decode_body(ptype: int, flags: int, body: memoryview) -> ControlPacket:
     raise UnknownPacketTypeError(f"unknown packet type nibble {ptype}")
 
 
-def read_packet(stream: BinaryIO) -> ControlPacket | None:
-    """Read one framed packet from a blocking byte stream.
+class FrameReader:
+    """Reads framed packets from one blocking byte stream.
 
-    The body is read straight into one preallocated frame buffer. Returns
-    None on clean EOF at a frame boundary; raises TruncatedFrameError on EOF
-    mid-frame, and FrameTooLargeError, before allocating, for a header that
-    declares more than MAX_FRAME_BYTES.
+    Each frame goes into the reader's buffer whenever nothing views that
+    buffer any more, so a connection that carries large messages fills the
+    same memory again instead of faulting in fresh pages for every frame.
+    A publish payload is a view of the buffer: while one is alive, the next
+    frame goes into a new buffer, which the reader keeps from then on, and
+    the kept view's bytes never change.
     """
-    head = bytearray(stream.read(1))
-    if not head:
-        return None
-    for _ in range(4):
-        byte = stream.read(1)
-        if not byte:
-            raise TruncatedFrameError("EOF inside remaining length")
-        head += byte
-        if not byte[0] & 0x80:
-            break
-    else:
-        raise MalformedVarintError("continuation bit set past 4 varint bytes")
-    remaining, _ = decode_remaining_length(head, 1)
-    if len(head) + remaining > MAX_FRAME_BYTES:
-        raise FrameTooLargeError(f"header declares a {len(head) + remaining} B "
-                                 f"frame, over MAX_FRAME_BYTES ({MAX_FRAME_BYTES})")
-    frame = bytearray(len(head) + remaining)
-    frame[: len(head)] = head
-    with memoryview(frame) as view:
-        filled = len(head)
-        while filled < len(frame):
-            count = stream.readinto(view[filled:])
-            if not count:
-                raise TruncatedFrameError("EOF inside packet body")
-            filled += count
-    return decode_packet(frame)
+
+    def __init__(self, stream: BinaryIO):
+        self.stream = stream
+        self._frame = bytearray()
+
+    def read_packet(self) -> ControlPacket | None:
+        """Read one packet. Returns None on clean EOF at a frame boundary;
+        raises TruncatedFrameError on EOF mid-frame, and FrameTooLargeError,
+        before allocating, for a header that declares more than
+        MAX_FRAME_BYTES."""
+        stream = self.stream
+        head = bytearray(stream.read(1))
+        if not head:
+            return None
+        for _ in range(4):
+            byte = stream.read(1)
+            if not byte:
+                raise TruncatedFrameError("EOF inside remaining length")
+            head += byte
+            if not byte[0] & 0x80:
+                break
+        else:
+            raise MalformedVarintError("continuation bit set past 4 varint bytes")
+        remaining, _ = decode_remaining_length(head, 1)
+        size = len(head) + remaining
+        if size > MAX_FRAME_BYTES:
+            raise FrameTooLargeError(f"header declares a {size} B frame, "
+                                     f"over MAX_FRAME_BYTES ({MAX_FRAME_BYTES})")
+        if len(self._frame) < size or _viewed(self._frame):
+            self._frame = bytearray(size)
+        with memoryview(self._frame) as view:
+            view[: len(head)] = head
+            filled = len(head)
+            while filled < size:
+                count = stream.readinto(view[filled:size])
+                if not count:
+                    raise TruncatedFrameError("EOF inside packet body")
+                filled += count
+            return decode_packet(view[:size])
+
+
+def _viewed(buffer: bytearray) -> bool:
+    """True while a memoryview of the non-empty ``buffer`` is alive: a
+    bytearray refuses to change size while it has one. Shrinking by one byte
+    and then restoring it never reallocates. Growing first would reallocate
+    each buffer once, and that alone left 1 MB messages faulting their pages
+    in afresh on every read."""
+    try:
+        buffer.append(buffer.pop())
+    except BufferError:
+        return True
+    return False
+
+
+def read_packet(stream: BinaryIO) -> ControlPacket | None:
+    """Read one framed packet from a blocking byte stream into a buffer of
+    its own; see ``FrameReader.read_packet``."""
+    return FrameReader(stream).read_packet()
 
 
 def write_frame(sock: socket.socket, buffers: list) -> int:

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from twinet import client as client_mod
 from twinet.broker import Broker
 from twinet.client import BrokerUnreachableError, MqttClient
+from twinet.link import LinkEndpoint
 from twinet.mqtt import (ConnAck, Connect, SubAck, Subscribe, TopicFilter,
                          encode_packet, encode_remaining_length, read_packet,
                          topic_matches, validate_filter)
@@ -89,8 +90,9 @@ class TestSessionHandling:
         pub = make_client(broker, "pub")
         pub.publish("t/x", b"m", qos=1)
         assert new.poll(timeout=2.0) is not None
-        # the evicted session's socket is closed; it receives nothing more
-        assert old.poll(timeout=0.3) is None
+        # the evicted session's socket is closed; reading it says so
+        with pytest.raises(ConnectionError):
+            within(2.0, lambda: old.poll(timeout=2.0))
         for c in (old, new, pub):
             c.close()
 
@@ -243,6 +245,67 @@ class TestEndToEnd:
             assert b.stats["connections"] == 0
 
 
+class TestCallerReads:
+    def test_client_starts_no_thread(self, broker, monkeypatch):
+        starters = []
+        real_start = threading.Thread.start
+
+        def recording_start(thread):
+            starters.append(threading.current_thread())
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        sub = make_client(broker, "sub")
+        sub.subscribe("t/#", 1)
+        pub = make_client(broker, "pub")
+        assert exchange_qos1(pub, sub, "t/x", b"m") == b"m"
+        sub.ping()
+        sub.close(); pub.close()
+        # the broker's accept thread starts its connection threads
+        assert threading.current_thread() not in starters
+
+    def test_poll_raises_once_the_broker_closes_the_connection(self):
+        broker = Broker(port=0)
+        broker.start()
+        client = make_client(broker, "c")
+        broker.stop()
+        start = time.monotonic()
+        with pytest.raises(ConnectionError):
+            within(5.0, lambda: client.poll(5.0))
+        assert time.monotonic() - start < 1.0
+        client.close()
+
+    def test_a_kept_payload_keeps_its_bytes_while_later_frames_arrive(self, broker):
+        sub = make_client(broker, "sub")
+        sub.subscribe("t/#", 1)
+        pub = make_client(broker, "pub")
+        payloads = [bytes([i]) * 100_000 for i in range(3)]
+        for payload in payloads:
+            pub.publish("t/x", payload, qos=1)
+        kept = sub.poll(timeout=2.0)[1]
+        later = [bytes(sub.poll(timeout=2.0)[1]) for _ in range(2)]
+        assert (kept, later) == (payloads[0], payloads[1:])
+        sub.close(); pub.close()
+
+    def test_8mb_envelope_between_endpoints_on_one_thread(self, broker,
+                                                        monkeypatch):
+        # One thread publishes, then polls the receiver. A broker that wrote
+        # the delivery before the PUBACK would block on the receiver's full
+        # socket, and the publish would wait for its ack until it timed out.
+        monkeypatch.setattr(client_mod, "ACK_TIMEOUT_S", 5.0)
+        payload = random.Random(8).randbytes(8_000_000)
+        with LinkEndpoint("rw", broker.host, broker.port) as rw, \
+             LinkEndpoint("dt", broker.host, broker.port) as dt:
+            dt.subscribe("rw/#")
+
+            def send_and_receive():
+                rw.publish_envelope("rw/traffic", "BenchPing", payload)
+                return dt.poll_envelope(timeout=5.0)
+
+            received = within(10, send_and_receive)
+        assert received is not None and received.payload == payload
+
+
 class TestSlowSubscriber:
     def test_subscriber_that_stops_reading_stalls_no_one_else(self, monkeypatch):
         # No broker fixture: its teardown would hang where stop() hangs.
@@ -370,10 +433,9 @@ class TestLifecycle:
 
 
 def wait_until_lost(client, timeout=2.0):
-    deadline = time.monotonic() + timeout
-    while not client._lost.is_set():
-        assert time.monotonic() < deadline, "reader never saw the connection end"
-        time.sleep(0.01)
+    """Poll ``client`` until it reads the end of its connection."""
+    with pytest.raises(ConnectionError):
+        within(timeout, lambda: client.poll(timeout))
 
 
 class TestDeadConnection:
@@ -433,8 +495,9 @@ class TestDeadConnection:
 
 class TestConcurrentQos1:
     def test_own_publishes_complete_while_receiving_qos1(self, broker, monkeypatch):
-        # The reader PUBACKs incoming QoS-1 publishes while this client's own
-        # publish waits for its PUBACK; neither may wait on the other.
+        # This client's own publish reads the incoming QoS-1 publishes, and
+        # PUBACKs them, while it waits for its PUBACK; neither may wait on
+        # the other.
         monkeypatch.setattr(client_mod, "ACK_TIMEOUT_S", 2.0)
         receiver = make_client(broker, "rx")
         receiver.subscribe("in/#", 1)
@@ -448,10 +511,9 @@ class TestConcurrentQos1:
         streamer = threading.Thread(target=stream, daemon=True)
         streamer.start()
         try:
-            deadline = time.monotonic() + 5.0
-            while receiver.messages.qsize() < 20:
-                assert time.monotonic() < deadline, "the QoS-1 stream never arrived"
-                time.sleep(0.005)
+            for _ in range(20):
+                assert receiver.poll(timeout=5.0) is not None, \
+                    "the QoS-1 stream never arrived"
             slowest = 0.0
             for i in range(50):
                 start = time.monotonic()
@@ -466,8 +528,8 @@ class TestConcurrentQos1:
 
     def test_ping_and_qos1_publish_on_one_client_keep_their_own_acks(self, broker,
                                                                      monkeypatch):
-        # A ping and a QoS-1 publish share one ack queue; each must wait for
-        # its own ack under the request lock, or one takes the other's.
+        # A ping and a QoS-1 publish read one socket; each must wait for its
+        # own ack under the client's lock, or one takes the other's.
         monkeypatch.setattr(client_mod, "ACK_TIMEOUT_S", 2.0)
         client = make_client(broker, "pinger")
         errors = []

@@ -268,3 +268,22 @@ class TestTwinService:
                         pass
             finally:
                 release.set()
+
+    def test_serving_reraises_what_ended_run(self):
+        from twinet.broker import Broker
+
+        class DeadLinkService(TwinService):
+            request_kind = "EvalRequest"
+
+        b = Broker(port=0)
+        b.start()
+        with LinkEndpoint("dt", b.host, b.port) as dt:
+            service = DeadLinkService(dt, "rw/request")
+            with pytest.raises(ConnectionError):
+                with service.serving():
+                    b.stop()  # the service's next poll reads the end of its link
+                    deadline = time.monotonic() + 2.0
+                    while any(t.name == "DeadLinkService"
+                              for t in threading.enumerate()):
+                        assert time.monotonic() < deadline, "run never ended"
+                        time.sleep(0.01)

@@ -9,6 +9,7 @@ from twinet.mqtt import (
     ConnAck,
     Connect,
     Disconnect,
+    FrameReader,
     FrameTooLargeError,
     LengthMismatchError,
     MalformedVarintError,
@@ -199,6 +200,20 @@ class TestReadPacket:
         header = b"\x30" + encode_remaining_length(200_000_000)
         with pytest.raises(FrameTooLargeError):
             read_packet(OneByteStream(header))
+
+
+    def test_reader_reuses_its_buffer_only_once_no_payload_views_it(self):
+        packets = [Publish("a/b", bytes([i]) * 300, qos=0) for i in range(4)]
+        reader = FrameReader(OneByteStream(
+            b"".join(b"".join(encode_packet(p)) for p in packets)))
+        kept = reader.read_packet().payload
+        buffer = reader.read_packet().payload.obj  # a new buffer: kept views the old
+        assert buffer is not kept.obj
+        third = reader.read_packet().payload  # nothing views the buffer: reused
+        assert third.obj is buffer
+        fourth = reader.read_packet().payload  # third views it: a new one again
+        assert fourth.obj is not buffer
+        assert (kept, third, fourth) == (b"\x00" * 300, b"\x02" * 300, b"\x03" * 300)
 
 
 class TestFrameLimit:
