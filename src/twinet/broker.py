@@ -95,23 +95,28 @@ class _Connection:
             return
         self.broker._register(self, first.client_id)
         self.send(ConnAck(0))
-        while self.alive:
-            packet = self.reader.read_packet()
-            if packet is None or isinstance(packet, Disconnect):
-                return
-            if isinstance(packet, Publish):
-                self.broker.route_publish(self, packet)
-            elif isinstance(packet, Subscribe):
-                granted = self.broker._subscribe(self, packet)
-                self.send(SubAck(packet.packet_id, granted))
-            elif isinstance(packet, PingReq):
-                self.send(PingResp())
-            elif isinstance(packet, PubAck):
-                pass  # subscriber-side qos-1 ack; no retransmission state kept
-            else:
-                log.debug("unexpected packet %r, closing", packet)
-                return
-            del packet  # a routed payload views the reader's buffer: free it for reuse
+        # A packet lives only inside _handle, so once it returns no routed
+        # payload views the reader's buffer and the next frame refills it.
+        while self.alive and self._handle(self.reader.read_packet()):
+            pass
+
+    def _handle(self, packet) -> bool:
+        """Act on one packet; False once the connection should close."""
+        if packet is None or isinstance(packet, Disconnect):
+            return False
+        if isinstance(packet, Publish):
+            self.broker.route_publish(self, packet)
+        elif isinstance(packet, Subscribe):
+            granted = self.broker._subscribe(self, packet)
+            self.send(SubAck(packet.packet_id, granted))
+        elif isinstance(packet, PingReq):
+            self.send(PingResp())
+        elif isinstance(packet, PubAck):
+            pass  # subscriber-side qos-1 ack; no retransmission state kept
+        else:
+            log.debug("unexpected packet %r, closing", packet)
+            return False
+        return True
 
 
 class Broker:

@@ -12,9 +12,11 @@ reconnect-with-backoff, after which the failure is surfaced.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import select
 import socket
+import struct
 import threading
 import time
 from collections import deque
@@ -45,7 +47,8 @@ class BrokerUnreachableError(ConnectionError):
 
 # Connection attempts before BrokerUnreachableError, the delay after the first
 # failed one (doubled after each later one), and how long a connect or a request
-# waits for its ack. Read at each use, so a test can monkeypatch them.
+# waits for its ack, or a read for the rest of a frame. Read at each use (the
+# frame bound at connect), so a test can monkeypatch them.
 CONNECT_RETRIES = 5
 BACKOFF_S = 0.05
 ACK_TIMEOUT_S = 10.0
@@ -87,9 +90,9 @@ class MqttClient:
 
     def _connect_once(self) -> None:
         sock = socket.create_connection((self.host, self.port), timeout=5.0)
-        # Unbuffered, so select sees every byte not yet read; a read on it
-        # never times out once connected, since a timed-out stream refuses
-        # every later read.
+        # Unbuffered, so select sees every byte not yet read. A read starts
+        # once select saw a byte, so the kernel's receive timeout set below,
+        # which costs no call per frame, holds up only a peer stalled mid-frame.
         reader = FrameReader(sock.makefile("rb", buffering=0))
         try:  # a peer that accepts and never answers must not block for ever
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -103,25 +106,23 @@ class MqttClient:
             sock.close()
             raise
         sock.settimeout(None)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, struct.pack(
+            "ll", int(ACK_TIMEOUT_S), int(ACK_TIMEOUT_S % 1 * 1_000_000)))
         self._sock, self._reader = sock, reader
 
     def close(self) -> None:
         self._closed = True
         with self._lock:
             if self._sock is not None:
-                try:
+                with contextlib.suppress(OSError):
                     self._send(Disconnect())
-                except OSError:
-                    pass
                 self._teardown()
 
     def _teardown(self) -> None:
         if self._sock is not None:
             for closable in (self._reader.stream, self._sock):
-                try:
+                with contextlib.suppress(OSError):
                     closable.close()
-                except OSError:
-                    pass
         self._sock = self._reader = None
 
     def _reconnect(self) -> None:
@@ -188,6 +189,9 @@ class MqttClient:
             pid = next(self._packet_ids) if qos == 1 else None
             packet = Publish(topic, payload, qos, pid)
             try:
+                # Read what has arrived: an unread connection end reconnects here.
+                while self._read(time.monotonic()) is not None:
+                    pass
                 self._send(packet)
             except (ConnectionError, OSError):
                 if self._closed:

@@ -64,13 +64,9 @@ BENCH_SAMPLES = 100
 # A size's samples are spread over this many rounds of every size, so that
 # the host's drift over the run falls on all sizes alike.
 BENCH_ROUNDS = 100
-# Unmeasured messages of a size before its samples in a round. The first
-# message after a 1 MB one runs 0.1-0.3 ms slower while its buffers are freed,
-# and the next dozen or so a few us slower still, easing off message by
-# message; a 4 ms busy loop in the caller's thread does the same, so the drift
-# follows a long run of the caller's thread, such as its reads of a 1 MB
-# message. With six warm-ups the samples start past most of it.
-BENCH_WARMUPS = 6
+# Unmeasured messages of a size before its samples in a round: the first
+# message after a 1 MB one runs 0.1-0.3 ms slower while its buffers are freed.
+BENCH_WARMUPS = 2
 # Yields before each bench message, so the last message's trailing work (the
 # broker's connection threads reading the subscriber's PUBACK and going back
 # to their reads) is done before the next stamp on the bench's one CPU.
@@ -422,10 +418,7 @@ def run_latency_bench(host: str, port: int, rng: random.Random,
     one CPU while the bench runs, and the garbage collector is paused.
     Sizes are interleaved: each of up to ``BENCH_ROUNDS`` rounds takes a
     share of every size's samples, each share after ``BENCH_WARMUPS``
-    unmeasured messages of its size. Rounds alternate between the given
-    order of sizes and its reverse, so that each size sits as far from the
-    largest one on average, and the slowdown that follows a large message
-    falls on every size alike. A sample whose latency was more time
+    unmeasured messages of its size. A sample whose latency was more time
     away from this process than in it is taken again, up to ``BENCH_RETAKES``
     times, and counted in ``retaken``.
     """
@@ -446,7 +439,7 @@ def run_latency_bench(host: str, port: int, rng: random.Random,
             for round_index in range(rounds):
                 count = (samples_per_size // rounds
                          + (round_index < samples_per_size % rounds))
-                for size in (sizes if round_index % 2 == 0 else sizes[::-1]):
+                for size in sizes:
                     for direction, sender, receiver, topic in pairs:
                         report = reports[(size, direction)]
                         for _ in range(BENCH_WARMUPS):

@@ -11,9 +11,9 @@ from twinet import client as client_mod
 from twinet.broker import Broker
 from twinet.client import BrokerUnreachableError, MqttClient
 from twinet.link import LinkEndpoint
-from twinet.mqtt import (ConnAck, Connect, SubAck, Subscribe, TopicFilter,
-                         encode_packet, encode_remaining_length, read_packet,
-                         topic_matches, validate_filter)
+from twinet.mqtt import (ConnAck, Connect, Publish, SubAck, Subscribe,
+                         TopicFilter, encode_packet, encode_remaining_length,
+                         read_packet, topic_matches, validate_filter)
 
 
 def make_client(broker, name):
@@ -432,13 +432,46 @@ class TestLifecycle:
         client.close()
 
 
-def wait_until_lost(client, timeout=2.0):
-    """Poll ``client`` until it reads the end of its connection."""
-    with pytest.raises(ConnectionError):
-        within(timeout, lambda: client.poll(timeout))
-
-
 class TestDeadConnection:
+    @pytest.mark.parametrize("qos", [0, 1])
+    def test_publish_meeting_an_unread_end_reconnects_and_delivers(self, broker,
+                                                                  qos):
+        sub = make_client(broker, "sub")
+        sub.subscribe("t/#", 0)
+        old = make_client(broker, "dup")
+        evictor = make_client(broker, "dup")  # old's end arrives, nobody reads it
+        old.publish("t/x", b"after", qos=qos)
+        item = sub.poll(timeout=2.0)
+        assert item is not None and bytes(item[1]) == b"after"
+        for c in (sub, old, evictor):
+            c.close()
+
+    def test_peer_that_stops_mid_frame_ends_the_connection(self, monkeypatch):
+        # a peer that sends half a frame and then neither sends nor closes
+        monkeypatch.setattr(client_mod, "ACK_TIMEOUT_S", 0.5)
+        listener = socket.create_server(("127.0.0.1", 0))
+        done = threading.Event()
+
+        def serve_half_a_frame():
+            sock, _ = listener.accept()
+            with sock, sock.makefile("rb") as stream:
+                read_packet(stream)
+                frame = b"".join(encode_packet(Publish("t", b"x" * 100)))
+                sock.sendall(b"".join(encode_packet(ConnAck(0))) + frame[:10])
+                done.wait(5.0)
+
+        peer = threading.Thread(target=serve_half_a_frame, daemon=True)
+        peer.start()
+        client = MqttClient("c", *listener.getsockname())
+        client.connect()
+        with pytest.raises(ConnectionError):
+            within(3.0, lambda: client.poll(timeout=0.1))
+        client.close()
+        done.set()
+        peer.join(timeout=2.0)
+        assert not peer.is_alive()
+        listener.close()
+
     def test_pending_ack_fails_when_connection_drops(self):
         # a peer that accepts the session, then hangs up on the first publish
         listener = socket.create_server(("127.0.0.1", 0))
@@ -466,8 +499,9 @@ class TestDeadConnection:
     def test_publish_after_eof_reconnects_with_fresh_acks(self, broker, monkeypatch):
         monkeypatch.setattr(client_mod, "ACK_TIMEOUT_S", 2.0)
         old = make_client(broker, "dup")
-        evictor = make_client(broker, "dup")  # the broker closes old's socket
-        wait_until_lost(old)
+        # The broker closes old's socket before it acks the evictor's connect,
+        # so old's end has arrived, unread, when the evictor is connected.
+        evictor = make_client(broker, "dup")
         old.publish("t", b"x", qos=1)  # reconnects, then gets its PubAck
         old.publish("t", b"y", qos=1)  # the old connection's end is not replayed
         old.ping()
@@ -483,7 +517,6 @@ class TestDeadConnection:
             deadline = time.monotonic() + 20.0
             for i in range(20):
                 evictor = make_client(broker, "dup")
-                wait_until_lost(client)
                 client.publish("t", str(i).encode(), qos=1)  # reconnects
                 client.ping()
                 evictor.close()
