@@ -183,11 +183,13 @@ class MqttClient:
         self._send(Subscribe(pid, ((filter_text, max_qos),)))
         self._wait_ack(SubAck, pid)
 
-    def publish(self, topic: str, payload: bytes, qos: int = 0) -> None:
-        """Publish, transparently reconnecting (bounded) on a dead connection."""
+    def publish(self, topic: str, payload: bytes, qos: int = 0,
+                prefix: bytes = b"") -> None:
+        """Publish ``prefix + payload``, transparently reconnecting (bounded)
+        on a dead connection. ``payload`` goes to the socket as it is."""
         with self._lock:
             pid = next(self._packet_ids) if qos == 1 else None
-            packet = Publish(topic, payload, qos, pid)
+            packet = Publish(topic, payload, qos, pid, prefix)
             try:
                 # Read what has arrived: an unread connection end reconnects here.
                 while self._read(time.monotonic()) is not None:

@@ -16,6 +16,9 @@ topic + the MQTT header:
 | 22 | n | topic, UTF-8 |
 | 22 + n | rest | payload |
 
+The sender puts the header and topic in the MQTT frame's head and writes
+the payload after them as the caller's own object, so it copies no payload.
+
 Canonical topic namespace: rw/traffic, rw/request, dt/eval/result,
 dt/model/request, dt/model/artifact, bench/ping/<dir>, bench/pong/<dir>.
 """
@@ -116,7 +119,11 @@ class MessageEnvelope:
             raise EnvelopeError(f"unknown envelope kind: {self.kind!r}")
 
 
-def encode_envelope(envelope: MessageEnvelope) -> bytes:
+def encode_envelope(envelope: MessageEnvelope) -> tuple[bytes, bytes]:
+    """Encode an envelope as ``(head, payload)``: the header and topic, and
+    the envelope's own payload object, not a copy. Its wire bytes are
+    ``head + payload``; ``LinkEndpoint`` sends the head inside the MQTT
+    frame's head, so the payload reaches the socket without being joined."""
     try:
         topic = envelope.topic.encode("utf-8")
         header = _HEADER.pack(ENVELOPE_MAGIC, ENVELOPE_VERSION,
@@ -124,7 +131,7 @@ def encode_envelope(envelope: MessageEnvelope) -> bytes:
                               envelope.sent_at, len(topic))
     except (struct.error, ValueError) as exc:
         raise EnvelopeError(f"envelope does not fit the header: {exc}") from exc
-    return b"".join((header, topic, envelope.payload))
+    return header + topic, envelope.payload
 
 
 def decode_envelope(data: bytes | memoryview) -> MessageEnvelope:
@@ -207,7 +214,8 @@ class LinkEndpoint:
         envelope = MessageEnvelope(topic=topic, seq=seq, sent_at=0, kind=kind,
                                    payload=payload)
         envelope.sent_at = now_us()  # stamped at publish time, not construction
-        self.client.publish(topic, encode_envelope(envelope), qos=self.qos)
+        head, payload = encode_envelope(envelope)
+        self.client.publish(topic, payload, qos=self.qos, prefix=head)
         return envelope
 
     def poll_envelope(self, timeout: float = 0.0,

@@ -14,9 +14,11 @@ from typing import BinaryIO
 
 from .errors import (
     BadTopicError,
+    CodecError,
     FrameTooLargeError,
     LengthMismatchError,
     MalformedVarintError,
+    StalledFrameError,
     TruncatedFrameError,
     UnknownPacketTypeError,
 )
@@ -111,9 +113,9 @@ def encode_packet(packet: ControlPacket) -> list:
     """Encode one control packet as the buffers of its wire frame, in order.
 
     A Publish gives ``[head, payload]``: the head is the fixed header,
-    remaining length, topic and packet id, and the payload is the packet's own
-    object, not a copy. Any other packet gives ``[frame]``. Raises ValueError
-    for a frame longer than MAX_FRAME_BYTES.
+    remaining length, topic, packet id and the packet's prefix, and the
+    payload is the packet's own object, not a copy. Any other packet gives
+    ``[frame]``. Raises ValueError for a frame longer than MAX_FRAME_BYTES.
     """
     payload = b""
     if isinstance(packet, Connect):
@@ -128,6 +130,7 @@ def encode_packet(packet: ControlPacket) -> list:
         parts = [_encode_string(packet.topic)]
         if packet.qos == 1:
             parts.append(struct.pack(">H", packet.packet_id))
+        parts.append(packet.prefix)
         payload = packet.payload
         header = (_TYPE_PUBLISH << 4) | (packet.qos << 1)
     elif isinstance(packet, PubAck):
@@ -248,17 +251,21 @@ class FrameReader:
 
     def read_packet(self) -> ControlPacket | None:
         """Read one packet. Returns None on clean EOF at a frame boundary;
-        raises TruncatedFrameError on EOF mid-frame, and FrameTooLargeError,
-        before allocating, for a header that declares more than
-        MAX_FRAME_BYTES."""
+        raises TruncatedFrameError on EOF mid-frame, StalledFrameError when a
+        read times out (a non-blocking or timed stream returns None), and
+        FrameTooLargeError, before allocating, for a header that declares
+        more than MAX_FRAME_BYTES."""
         stream = self.stream
-        head = bytearray(stream.read(1))
-        if not head:
+        first = stream.read(1)
+        if first is None:
+            raise StalledFrameError("read timed out before a frame began")
+        if not first:
             return None
+        head = bytearray(first)
         for _ in range(4):
             byte = stream.read(1)
             if not byte:
-                raise TruncatedFrameError("EOF inside remaining length")
+                raise _cut_short(byte, "remaining length")
             head += byte
             if not byte[0] & 0x80:
                 break
@@ -277,9 +284,18 @@ class FrameReader:
             while filled < size:
                 count = stream.readinto(view[filled:size])
                 if not count:
-                    raise TruncatedFrameError("EOF inside packet body")
+                    raise _cut_short(count, "packet body")
                 filled += count
             return decode_packet(view[:size])
+
+
+def _cut_short(chunk: bytes | int | None, where: str) -> CodecError:
+    """The error for a read inside a frame that got no bytes: None is a read
+    that timed out, so the peer stopped mid-frame; empty or 0 is EOF."""
+    if chunk is None:
+        return StalledFrameError(
+            f"peer stopped mid-frame: read timed out inside {where}")
+    return TruncatedFrameError(f"EOF inside {where}")
 
 
 def _viewed(buffer: bytearray) -> bool:

@@ -10,6 +10,10 @@ class TruncatedFrameError(CodecError):
     """Input ended before the frame was complete."""
 
 
+class StalledFrameError(CodecError):
+    """A read timed out: the peer stopped sending, mid-frame or before one."""
+
+
 class FrameTooLargeError(CodecError):
     """Frame header declares more bytes than MAX_FRAME_BYTES."""
 

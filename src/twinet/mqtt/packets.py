@@ -22,10 +22,19 @@ class ConnAck:
 
 @dataclass(frozen=True)
 class Publish:
+    """A PUBLISH whose MQTT payload is ``prefix`` followed by ``payload``.
+
+    The encoder joins the small ``prefix`` (the link's envelope header and
+    topic) into the frame head, so ``payload`` goes to the socket as the
+    caller's own object, never copied. A decoded publish has an empty
+    prefix and its whole MQTT payload in ``payload``.
+    """
+
     topic: str
     payload: bytes | memoryview = b""  # decoded: a read-only view of the frame
     qos: int = 0
     packet_id: int | None = None
+    prefix: bytes = b""
 
     def __post_init__(self) -> None:
         if self.qos not in (0, 1):

@@ -464,7 +464,7 @@ class TestDeadConnection:
         peer.start()
         client = MqttClient("c", *listener.getsockname())
         client.connect()
-        with pytest.raises(ConnectionError):
+        with pytest.raises(ConnectionError, match="peer stopped mid-frame"):
             within(3.0, lambda: client.poll(timeout=0.1))
         client.close()
         done.set()

@@ -43,7 +43,9 @@ def header(magic=b"TW", version=1, kind=5, seq=0, sent_at=1, topic_len=1):
 class TestEnvelopeCodec:
     def test_golden_header_bytes(self):
         env = MessageEnvelope("t/x", 258, 2**40 + 3, "EvalResult", b"hi")
-        assert encode_envelope(env) == (
+        head, payload = encode_envelope(env)
+        assert payload is env.payload  # sent as it is, never joined to the head
+        assert head + payload == (
             b"TW\x01\x02"                          # magic, version, kind index
             b"\x00\x00\x00\x00\x00\x00\x01\x02"  # seq u64
             b"\x00\x00\x01\x00\x00\x00\x00\x03"  # sent_at u64
@@ -54,11 +56,11 @@ class TestEnvelopeCodec:
     def test_wire_size_is_payload_plus_header_and_topic(self):
         for size in (0, 1, 1000):
             env = MessageEnvelope("rw/traffic", 0, 1, "BenchPing", b"x" * size)
-            assert len(encode_envelope(env)) == size + 22 + len("rw/traffic")
+            assert sum(map(len, encode_envelope(env))) == size + 22 + len("rw/traffic")
 
     @given(envelopes())
     def test_round_trip(self, env):
-        assert decode_envelope(encode_envelope(env)) == env
+        assert decode_envelope(b"".join(encode_envelope(env))) == env
 
     @given(st.one_of(st.binary(max_size=64),
                      st.binary(max_size=64).map(lambda tail: b"TW\x01" + tail)))
@@ -100,8 +102,8 @@ class TestEnvelopeCodec:
                             b'"kind":"BenchPing","payload_b64":"@@"}')
 
     def test_decoding_a_view_copies_the_payload_out_as_bytes(self):
-        frame = bytearray(encode_envelope(
-            MessageEnvelope("rw/traffic", 3, 5, "TrafficUpdate", b"rates")))
+        frame = bytearray(b"".join(encode_envelope(
+            MessageEnvelope("rw/traffic", 3, 5, "TrafficUpdate", b"rates"))))
         env = decode_envelope(memoryview(frame).toreadonly())
         assert type(env.payload) is bytes and env.payload == b"rates"
         frame[-5:] = b"RATES"  # the frame's buffer is reused; the envelope keeps its copy
@@ -110,9 +112,10 @@ class TestEnvelopeCodec:
     def test_largest_bench_payload_fills_one_frame(self):
         for topic in ("bench/ping/rw2dt", "bench/ping/dt2rw"):
             def frame_bytes(size):
-                data = encode_envelope(
+                head, payload = encode_envelope(
                     MessageEnvelope(topic, 0, 1, "BenchPing", bytes(size)))
-                return sum(map(len, encode_packet(Publish(topic, data, 1, 1))))
+                return sum(map(len, encode_packet(
+                    Publish(topic, payload, 1, 1, head))))
             assert frame_bytes(BENCH_MAX_SIZE) == MAX_FRAME_BYTES
             with pytest.raises(ValueError, match="MAX_FRAME_BYTES"):
                 frame_bytes(BENCH_MAX_SIZE + 1)
@@ -219,6 +222,52 @@ class TestLinkEndpoint:
             for _ in range(20):  # the dead socket may absorb a few sends
                 link.publish_envelope("rw/traffic", "TrafficUpdate", b"x")
         assert time.monotonic() - start < 2.0
+
+
+# The envelope of an empty TrafficUpdate on rw/traffic, seq 0, sent_at 2**40 + 3.
+_TRAFFIC_ENVELOPE = (b"TW\x01\x00" + bytes(8) + b"\x00\x00\x01\x00\x00\x00\x00\x03"
+                     b"\x00\x0arw/traffic")
+# Whole frames by (qos, payload size), the payload being bytes(range(size)).
+_GOLDEN_FRAMES = {
+    (0, 0): b"\x30\x2c\x00\x0arw/traffic" + _TRAFFIC_ENVELOPE,
+    (1, 0): b"\x32\x2e\x00\x0arw/traffic\x00\x01" + _TRAFFIC_ENVELOPE,
+    (0, 100): b"\x30\x90\x01\x00\x0arw/traffic" + _TRAFFIC_ENVELOPE + bytes(range(100)),
+    (1, 100): (b"\x32\x92\x01\x00\x0arw/traffic\x00\x01" + _TRAFFIC_ENVELOPE
+               + bytes(range(100))),
+}
+
+
+class TestCopyFreeSend:
+    @pytest.mark.parametrize("size", [0, 100, 1_000_000])
+    @pytest.mark.parametrize("qos", [0, 1])
+    def test_payload_reaches_the_socket_write_as_it_is(self, broker, monkeypatch,
+                                                       qos, size):
+        writes = []
+        write_frame = client_mod.write_frame
+
+        def recording_write_frame(sock, buffers):
+            writes.append(list(buffers))
+            return write_frame(sock, buffers)
+
+        payload = (bytes(range(100)) if size == 100
+                   else random.Random(size).randbytes(size))
+        monkeypatch.setattr(link_mod, "now_us", lambda: 2**40 + 3)
+        with LinkEndpoint("rw", broker.host, broker.port, qos=qos) as rw, \
+             LinkEndpoint("dt", broker.host, broker.port, qos=qos) as dt:
+            dt.subscribe("rw/#")
+            monkeypatch.setattr(client_mod, "write_frame", recording_write_frame)
+            sent = rw.publish_envelope("rw/traffic", "TrafficUpdate", payload)
+            received = dt.poll_envelope(timeout=5.0)
+        assert received is not None and received.payload == payload
+        (buffers,) = [b for b in writes if len(b) == 2]  # the one PUBLISH sent
+        assert buffers[-1] is payload
+        frame = b"".join(buffers)
+        # the frame a joined envelope makes, byte for byte
+        joined = Publish("rw/traffic", b"".join(encode_envelope(sent)), qos,
+                         1 if qos else None)
+        assert frame == b"".join(encode_packet(joined))
+        if size <= 100:
+            assert frame == _GOLDEN_FRAMES[qos, size]
 
 
 class TestLatencyBench:

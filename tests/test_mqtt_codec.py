@@ -17,6 +17,7 @@ from twinet.mqtt import (
     PingResp,
     PubAck,
     Publish,
+    StalledFrameError,
     SubAck,
     Subscribe,
     TruncatedFrameError,
@@ -31,6 +32,8 @@ from twinet.mqtt import (
 )
 
 MAX_REMAINING = 268_435_455
+# An envelope header and topic, as the link sends them in a publish's head.
+ENVELOPE_HEAD = b"TW\x01\x05" + bytes(16) + b"\x00\x10bench/ping/rw2dt"
 
 
 class TestRemainingLength:
@@ -176,6 +179,14 @@ class OneByteStream(io.RawIOBase):
         return self._data.readinto(memoryview(buffer)[:1])
 
 
+class StallingStream(OneByteStream):
+    """Hands out its bytes one per call, then returns None, as a read of an
+    unbuffered socket stream does once its receive timeout runs out."""
+
+    def readinto(self, buffer) -> int | None:
+        return super().readinto(buffer) or None
+
+
 class TestReadPacket:
     def test_one_byte_reads_assemble_frames(self):
         packets = [Publish("a/b", bytes(range(256)) * 4, qos=1, packet_id=9),
@@ -193,6 +204,16 @@ class TestReadPacket:
         frame = b"".join(encode_packet(Publish("a/b", b"x" * 300, qos=0)))
         with pytest.raises(TruncatedFrameError):
             read_packet(OneByteStream(frame[:2]))  # varint continues past byte 2
+
+    @pytest.mark.parametrize("cut, where", [
+        (0, "before a frame began"),
+        (2, "inside remaining length"),  # the varint continues past byte 2
+        (-1, "inside packet body"),
+    ])
+    def test_read_that_times_out_raises_stalled_frame(self, cut, where):
+        frame = b"".join(encode_packet(Publish("a/b", b"x" * 300, qos=0)))
+        with pytest.raises(StalledFrameError, match=where):
+            read_packet(StallingStream(frame[:cut]))
 
     def test_header_over_max_frame_raises_before_allocating(self):
         # Only the header arrives; a reader that allocated first would wait for
@@ -218,11 +239,15 @@ class TestReadPacket:
 
 class TestFrameLimit:
     def test_encoder_refuses_frame_over_max(self):
-        payload_max = MAX_FRAME_BYTES - 8  # 1 B type, 4 B length, 3 B topic "a"
-        buffers = encode_packet(Publish("a", bytes(payload_max), qos=0))
-        assert sum(map(len, buffers)) == MAX_FRAME_BYTES
-        with pytest.raises(ValueError, match="MAX_FRAME_BYTES"):
-            encode_packet(Publish("a", bytes(payload_max + 1), qos=0))
+        for prefix in (b"", ENVELOPE_HEAD):
+            # 1 B type, 4 B length, 3 B topic "a", and the prefix in the head
+            payload_max = MAX_FRAME_BYTES - 8 - len(prefix)
+            buffers = encode_packet(Publish("a", bytes(payload_max), qos=0,
+                                            prefix=prefix))
+            assert sum(map(len, buffers)) == MAX_FRAME_BYTES
+            with pytest.raises(ValueError, match="MAX_FRAME_BYTES"):
+                encode_packet(Publish("a", bytes(payload_max + 1), qos=0,
+                                      prefix=prefix))
 
 
 class FakeSocket:
@@ -263,14 +288,21 @@ class TestZeroCopy:
         assert encode_packet(packet)[-1] is payload
         assert encode_packet(PingReq()) == [b"\xc0\x00"]
 
-    @pytest.mark.parametrize("step", [1, 7, 4096])
+    @pytest.mark.parametrize("step", [1, 7, 4096, "head", "frame"])
     def test_writer_finishes_partial_writes(self, step):
-        packet = Publish("bench/ping/rw2dt", random.Random(step).randbytes(1_000_000),
-                         qos=1, packet_id=9)
-        buffers = encode_packet(packet)
-        if step < 4096:
-            assert len(buffers[0]) > step  # the first write ends inside the head
-        sock = FakeSocket(step)
-        assert write_frame(sock, buffers) == sum(map(len, buffers))
-        assert sock.written == b"".join(buffers)
-        assert sock.calls == -(-len(sock.written) // step)
+        # 1 and 7 end writes inside the head; "head" ends the first write on
+        # the head's end, "frame" ends the only write on the frame's end
+        for prefix, size in ((b"", 1_000_000), (ENVELOPE_HEAD, 1_000_000),
+                             (b"", 0), (ENVELOPE_HEAD, 0)):
+            payload = random.Random(size).randbytes(size)
+            packet = Publish("bench/ping/rw2dt", payload, qos=1, packet_id=9,
+                             prefix=prefix)
+            buffers = encode_packet(packet)
+            fixed = b"\x32" + encode_remaining_length(20 + len(prefix) + size)
+            head = fixed + b"\x00\x10bench/ping/rw2dt\x00\x09" + prefix
+            assert buffers == [head, payload] and buffers[1] is payload
+            room = {"head": len(head), "frame": len(head) + size}.get(step, step)
+            sock = FakeSocket(room)
+            assert write_frame(sock, buffers) == len(head) + size
+            assert sock.written == head + payload
+            assert sock.calls == -(-len(sock.written) // room)

@@ -146,10 +146,10 @@ class TestRejection:
     def test_largest_eval_result_fits_one_frame(self):
         def frame_bytes(horizon):  # zero bytes stand in for the tick rewards
             payload = struct.pack(">Qd", 1, 2.0) + bytes(8 * horizon)
-            data = encode_envelope(MessageEnvelope(
+            head, data = encode_envelope(MessageEnvelope(
                 TOPIC_DT_EVAL_RESULT, 0, 1, "EvalResult", payload))
             return sum(map(len, encode_packet(
-                Publish(TOPIC_DT_EVAL_RESULT, data, 1, 1))))
+                Publish(TOPIC_DT_EVAL_RESULT, data, 1, 1, head))))
         assert frame_bytes(EVAL_MAX_HORIZON) <= MAX_FRAME_BYTES
         with pytest.raises(ValueError, match="MAX_FRAME_BYTES"):
             frame_bytes(EVAL_MAX_HORIZON + 1)
