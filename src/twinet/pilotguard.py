@@ -237,7 +237,7 @@ def _check_batch(x: np.ndarray, y: np.ndarray, n_classes: int) -> None:
     if x.shape[0] == 0:
         raise ValueError("batch must be non-empty")
     if not np.isfinite(x).all():
-        raise ValueError("non-finite features in batch")
+        raise ValueError(f"non-finite {x.dtype} features in batch")
     y = np.asarray(y)
     if y.shape != (x.shape[0],) or not np.issubdtype(y.dtype, np.integer):
         raise ValueError(f"labels must be 1-D integers, one per row; got "
@@ -278,34 +278,37 @@ def _class_sum(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 class _TrainingStep:
     """Mean cross-entropy and its gradient over one fixed, checked batch,
-    equal bit for bit to a plain row-major softmax step.
+    equal bit for bit to a plain row-major softmax step in the batch's dtype.
 
-    Both matrix products stay the row-major calls on an (n, C) buffer: the
-    other orientation is faster, but gives other bits on some BLAS builds
-    and shapes. Between them, the bias, max, exp, class sum and divide run
-    on a class-major (C, n) copy, where each sweeps the long axis instead of
-    n rows of 5-7 classes; ``_class_sum`` adds in numpy's row-sum order. The
-    bias gradient is the sequential sum over samples that ``mean(axis=0)``
-    makes on the (n, C) buffer; ``einsum`` makes it without one reduce call
-    per row. The buffers are reused; the returned gradients are fresh.
+    The buffers take the batch's dtype, and each call casts the weights and
+    bias to it, so a float32 batch runs the whole step in float32 while the
+    caller keeps float64 parameters. Both matrix products stay the row-major
+    calls on an (n, C) buffer: the other orientation is faster, but gives
+    other bits on some BLAS builds and shapes. Between them, the bias, max,
+    exp, class sum and divide run on a class-major (C, n) copy, where each
+    sweeps the long axis instead of n rows of 5-7 classes; ``_class_sum``
+    adds in numpy's row-sum order. The bias gradient is the sequential sum
+    over samples that ``mean(axis=0)`` makes on the (n, C) buffer;
+    ``einsum`` makes it without one reduce call per row. The buffers are
+    reused; the returned gradients are fresh.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, n_classes: int):
-        n = x.shape[0]
+        n, dtype = x.shape[0], x.dtype
         self.x = x
-        self.logits = np.empty((n, n_classes))
-        self.class_major = np.empty((n_classes, n))
-        self.per_sample = np.empty(n)
+        self.logits = np.empty((n, n_classes), dtype)
+        self.class_major = np.empty((n_classes, n), dtype)
+        self.per_sample = np.empty(n, dtype)
         self.target = np.asarray(y, dtype=np.intp) * n + np.arange(n)
-        self.onehot = np.zeros((n_classes, n))
+        self.onehot = np.zeros((n_classes, n), dtype)
         self.onehot.flat[self.target] = 1.0
 
     def __call__(self, weights: np.ndarray, bias: np.ndarray):
         x, logits, z = self.x, self.logits, self.class_major
         per_sample = self.per_sample
         n = x.shape[0]
-        np.matmul(x, weights.T, out=logits)
-        np.add(logits.T, bias[:, None], out=z)
+        np.matmul(x, weights.astype(x.dtype).T, out=logits)
+        np.add(logits.T, bias.astype(x.dtype)[:, None], out=z)
         z -= np.max(z, axis=0, out=per_sample)
         np.exp(z, out=z)
         z /= _class_sum(z, per_sample)
@@ -334,10 +337,18 @@ def train_model(config: PilotConfig,
                 seed: int = 0) -> tuple[ClassifierModel, list[float]]:
     """Full-batch gradient descent; returns the model and per-iteration losses.
 
-    The batch is checked once, not on every iteration."""
+    The step runs in float32, on one float32 copy of the batch, which halves
+    the bytes that each of its two matrix products streams. The weights and
+    bias stay float64 and take the float32 gradients, so the model and its
+    artifact are float64 as before. The batch is checked once, not on every
+    iteration, before and after the cast: a finite feature beyond float32's
+    range would otherwise turn into ``inf``."""
     n_classes = config.n_pilots + 1
     _check_batch(x_train, y_train, n_classes)
-    step = _TrainingStep(x_train, y_train, n_classes)
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        batch = x_train.astype(np.float32)
+    _check_batch(batch, y_train, n_classes)
+    step = _TrainingStep(batch, y_train, n_classes)
     rng = np.random.default_rng(seed)
     weights = rng.normal(0.0, 0.01, (n_classes, config.n_subcarriers))
     bias = np.zeros(n_classes)

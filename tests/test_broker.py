@@ -11,7 +11,7 @@ from twinet import client as client_mod
 from twinet.broker import Broker
 from twinet.client import BrokerUnreachableError, MqttClient
 from twinet.link import LinkEndpoint
-from twinet.mqtt import (ConnAck, Connect, Publish, SubAck, Subscribe,
+from twinet.mqtt import (ConnAck, Connect, PubAck, Publish, SubAck, Subscribe,
                          TopicFilter, encode_packet, encode_remaining_length,
                          read_packet, topic_matches, validate_filter)
 
@@ -558,6 +558,103 @@ class TestConcurrentQos1:
             receiver.close(); sender.close()
         assert not streamer.is_alive()
         assert slowest < 0.5
+
+    def test_poll_and_publishes_share_one_client_across_threads(self, broker,
+                                                                monkeypatch):
+        # One thread polls while two publish at QoS 1 on the same client, to a
+        # topic it subscribes to: each publish reads what arrives until its
+        # PUBACK, and the poll waits outside the lock. None may be lost,
+        # doubled or reordered per publisher.
+        monkeypatch.setattr(client_mod, "ACK_TIMEOUT_S", 5.0)
+        client = make_client(broker, "shared")
+        client.subscribe("loop/#", 1)
+        got, errors = [], []
+
+        def publish(name):
+            try:
+                for i in range(100):
+                    client.publish(f"loop/{name}", b"%d" % i, qos=1)
+            except (ConnectionError, TimeoutError) as exc:
+                errors.append(exc)
+
+        def poll():
+            deadline = time.monotonic() + 20.0
+            while len(got) < 200 and time.monotonic() < deadline:
+                item = client.poll(timeout=0.1)
+                if item is not None:
+                    got.append((item[0], bytes(item[1])))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=poll),
+                       *(threading.Thread(target=publish, args=(name,))
+                         for name in "ab")]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(switch)
+            client.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        for name in "ab":
+            assert [p for t, p in got if t == f"loop/{name}"] == \
+                [b"%d" % i for i in range(100)]
+        assert len(got) == 200
+
+    def test_pubacks_of_a_backlog_go_out_in_one_write(self, broker, monkeypatch):
+        # Acked one write each, a backlog of QoS-1 publishes is read no faster
+        # than a QoS-1 publisher fills it, and the stream above never ends.
+        receiver = make_client(broker, "rx")
+        receiver.subscribe("in/#", 1)
+        sender = make_client(broker, "tx")
+        for i in range(50):
+            sender.publish("in/x", b"%d" % i, qos=1)
+        sender.ping()  # the broker has written all 50 deliveries by its reply
+        writes = []
+        write_frame = client_mod.write_frame
+
+        def recording_write_frame(sock, buffers):
+            writes.append(b"".join(buffers))
+            return write_frame(sock, buffers)
+
+        monkeypatch.setattr(client_mod, "write_frame", recording_write_frame)
+        receiver.publish("out/x", b"mine", qos=1)  # reads the 50 before its ack
+        got = [receiver.poll(timeout=2.0) for _ in range(50)]
+        assert receiver.poll(timeout=0.05) is None
+        receiver.close(); sender.close()
+        assert [bytes(item[1]) for item in got] == [b"%d" % i for i in range(50)]
+        assert writes[1] == b"".join(b"".join(encode_packet(PubAck(pid)))
+                                     for pid in range(1, 51))
+        assert len(writes) == 4  # the publish, the PUBACKs, two DISCONNECTs
+
+    def test_pubacks_of_a_lost_connection_are_not_sent_on_the_next(self, broker,
+                                                                   monkeypatch):
+        monkeypatch.setattr(client_mod, "ACK_TIMEOUT_S", 2.0)
+        old = make_client(broker, "dup")
+        old.subscribe("in/#", 1)
+        sender = make_client(broker, "tx")
+        sender.publish("in/x", b"a", qos=1)
+        sender.ping()  # the delivery is in old's socket, unread, by the reply
+        writes = []
+        write_frame = client_mod.write_frame
+
+        def recording_write_frame(sock, buffers):
+            writes.append(b"".join(buffers))
+            return write_frame(sock, buffers)
+
+        monkeypatch.setattr(client_mod, "write_frame", recording_write_frame)
+        evictor = make_client(broker, "dup")
+        # reads the delivery, queueing its PUBACK, then the end; reconnects,
+        # subscribes again and sends
+        old.publish("out/x", b"b", qos=1)
+        item = old.poll(timeout=2.0)
+        for c in (old, evictor, sender):
+            c.close()
+        assert item is not None and bytes(item[1]) == b"a"
+        assert writes and not any(write.startswith(b"\x40") for write in writes)
 
     def test_ping_and_qos1_publish_on_one_client_keep_their_own_acks(self, broker,
                                                                      monkeypatch):

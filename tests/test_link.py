@@ -300,6 +300,48 @@ class TestLatencyBench:
 
 
 class TestTwinService:
+    def test_publish_on_a_served_endpoint_is_not_held_up(self, broker):
+        # the service thread polls the same client in 0.1 s slices
+        class IdleService(TwinService):
+            request_kind = "EvalRequest"
+
+        with LinkEndpoint("dt", broker.host, broker.port) as dt, \
+             LinkEndpoint("rw", broker.host, broker.port) as rw:
+            rw.subscribe("dt/#")
+            with IdleService(dt, "rw/request").serving():
+                time.sleep(0.05)  # let the service enter its first poll
+                for i in range(20):
+                    start = time.monotonic()
+                    dt.publish_envelope("dt/result", "EvalResult", b"%d" % i)
+                    assert time.monotonic() - start < 1.0, f"publish {i}"
+            got = [rw.poll_envelope(timeout=2.0) for _ in range(20)]
+        assert [env.payload for env in got] == [b"%d" % i for i in range(20)]
+
+    def test_close_wakes_a_poll_waiting_in_another_thread(self, broker,
+                                                           monkeypatch):
+        outcome = []
+        with LinkEndpoint("dt", broker.host, broker.port) as dt:
+            dt.subscribe("rw/#")
+            # no DISCONNECT goes out, so the broker does not end the connection
+            monkeypatch.setattr(dt.client, "_send", lambda packet: None)
+
+            def poll():
+                try:
+                    outcome.append(dt.client.poll(5.0))
+                except ConnectionError as exc:
+                    outcome.append(exc)
+
+            poller = threading.Thread(target=poll, daemon=True)
+            poller.start()
+            time.sleep(0.1)
+            start = time.monotonic()
+            dt.close()
+            poller.join(timeout=5.0)
+            elapsed = time.monotonic() - start
+        assert not poller.is_alive()
+        assert elapsed < 1.0
+        assert isinstance(outcome[0], ConnectionError)
+
     def test_serving_raises_when_the_thread_does_not_stop(self, broker,
                                                           monkeypatch):
         monkeypatch.setattr(link_mod, "SERVICE_JOIN_TIMEOUT_S", 0.1)
