@@ -35,6 +35,7 @@ from .link import (
 )
 from .metrics import write_metrics_csv
 from .netsim import TICK_CSV_SCHEMA, CellSim, RateSchedule, ScenarioConfig
+from .seeds import derive_seed
 
 log = logging.getLogger(__name__)
 
@@ -204,7 +205,7 @@ def run_pilot_scenario(label: str, host: str, port: int, seed: int = 0,
         pilots = pg.PilotConfig.for_scenario(label, seed)
         boot_model, _ = factory.build_model(pilots, seed)
         bs = pg.BaseStation(boot_model)
-        rng = np.random.default_rng(seed + 1)
+        rng = np.random.default_rng(derive_seed(seed, pg.SEED_FRAMES))
 
         clean_events = bs.detect_loop(
             pg.generate_frame(pilots, 0, rng) for _ in range(20)

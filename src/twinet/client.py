@@ -204,7 +204,9 @@ class MqttClient:
         return packet
 
     def _wait_ack(self, kind, packet_id: int | None = None):
-        """Read until the ``kind`` ack (with ``packet_id``, if it has one)."""
+        """Read until the ``kind`` ack (with ``packet_id``, if it has one).
+        TimeoutError once ``ACK_TIMEOUT_S`` has passed, also while other
+        packets keep arriving."""
         deadline = time.monotonic() + ACK_TIMEOUT_S
         while True:
             packet = self._read(deadline)
@@ -213,6 +215,10 @@ class MqttClient:
             if isinstance(packet, kind) and getattr(packet, "packet_id", None) == packet_id:
                 self._send_acks()
                 return packet
+            if time.monotonic() >= deadline:
+                self._send_acks()
+                raise TimeoutError(f"no {kind.__name__} for packet id {packet_id} "
+                                   f"among the packets read by its deadline")
 
     # -- requests ------------------------------------------------------------
 

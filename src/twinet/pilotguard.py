@@ -31,6 +31,7 @@ from .link import (
     MessageEnvelope,
     TwinService,
 )
+from .seeds import derive_seed
 
 log = logging.getLogger(__name__)
 
@@ -44,7 +45,8 @@ LOG_NOISE_SIGMA = 0.1
 DEFAULT_N_TRAIN = 5000
 DEFAULT_N_TEST = 1000
 DEFAULT_LEARNING_RATE = 0.01
-DEFAULT_ITERATIONS = 300
+DEFAULT_ITERATIONS = 100
+MOMENTUM = 0.9
 DEFAULT_DEBOUNCE = 3
 
 # (n_subcarriers, n_pilots) per named channel scenario
@@ -59,6 +61,10 @@ TIMING_CSV_SCHEMA = ["channel_size", "data_transfer_s", "data_collection_s",
                      "total_deployment_s"]
 ACCURACY_CSV_SCHEMA = ["channel_size", "pilot_amount", "train_accuracy",
                        "test_accuracy"]
+
+# The key under which each draw derives its generator from the caller's seed
+# (``derive_seed``), so that no two draws share a stream.
+SEED_PILOTS, SEED_WEIGHTS, SEED_RELOCATE, SEED_DATA, SEED_FRAMES = range(1, 6)
 
 MODEL_MAGIC = b"TWNM"
 MODEL_VERSION = 1
@@ -106,7 +112,7 @@ class PilotConfig:
     @classmethod
     def for_scenario(cls, label: str, seed: int = 0) -> "PilotConfig":
         n_subcarriers, n_pilots = SCENARIOS[label]
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(derive_seed(seed, SEED_PILOTS))
         lo, hi = data_band(n_subcarriers)
         indices = np.sort(rng.choice(np.arange(lo, hi), size=n_pilots,
                                      replace=False))
@@ -194,18 +200,6 @@ def normalize_dataset(train_powers: np.ndarray,
     return x_train, x_test, stats
 
 
-def make_dataset(config: PilotConfig,
-                 n_train: int = DEFAULT_N_TRAIN,
-                 n_test: int = DEFAULT_N_TEST,
-                 seed: int = 0):
-    """(x_train, y_train, x_test, y_test, norm_stats), class-balanced."""
-    rng = np.random.default_rng(seed)
-    train_powers, y_train = generate_labeled_frames(config, n_train, rng)
-    test_powers, y_test = generate_labeled_frames(config, n_test, rng)
-    x_train, x_test, stats = normalize_dataset(train_powers, test_powers)
-    return x_train, y_train, x_test, y_test, stats
-
-
 # -- classifier ---------------------------------------------------------------
 
 
@@ -246,39 +240,10 @@ def _check_batch(x: np.ndarray, y: np.ndarray, n_classes: int) -> None:
         raise ValueError(f"labels must lie in [0, {n_classes})")
 
 
-def _class_sum(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Sum the rows of a (C, n) array into ``out``, adding the C values of
-    each column in the order numpy's pairwise sum adds one contiguous row of
-    C (``(n, C).sum(axis=1)``): one by one below 8; eight running sums
-    combined as a tree, then the rest one by one, up to 128; above that, the
-    two halves split at a multiple of 8, each summed the same way."""
-    c = len(rows)
-    if c < 8:
-        np.copyto(out, rows[0])
-        for row in rows[1:]:
-            out += row
-        return out
-    if c > 128:
-        half = c // 2
-        half -= half % 8
-        np.add(_class_sum(rows[:half], out),
-               _class_sum(rows[half:], np.empty_like(out)), out=out)
-        return out
-    whole = c - c % 8
-    partial = rows[:8].copy()
-    for start in range(8, whole, 8):
-        partial += rows[start:start + 8]
-    while len(partial) > 1:  # ((0+1)+(2+3))+((4+5)+(6+7))
-        partial = partial[0::2] + partial[1::2]
-    np.copyto(out, partial[0])
-    for row in rows[whole:]:
-        out += row
-    return out
-
-
 class _TrainingStep:
     """Mean cross-entropy and its gradient over one fixed, checked batch,
-    equal bit for bit to a plain row-major softmax step in the batch's dtype.
+    equal bit for bit to a plain row-major softmax step in the batch's dtype
+    that adds each sample's classes one by one.
 
     The buffers take the batch's dtype, and each call casts the weights and
     bias to it, so a float32 batch runs the whole step in float32 while the
@@ -286,11 +251,11 @@ class _TrainingStep:
     calls on an (n, C) buffer: the other orientation is faster, but gives
     other bits on some BLAS builds and shapes. Between them, the bias, max,
     exp, class sum and divide run on a class-major (C, n) copy, where each
-    sweeps the long axis instead of n rows of 5-7 classes; ``_class_sum``
-    adds in numpy's row-sum order. The bias gradient is the sequential sum
-    over samples that ``mean(axis=0)`` makes on the (n, C) buffer;
-    ``einsum`` makes it without one reduce call per row. The buffers are
-    reused; the returned gradients are fresh.
+    sweeps the long axis instead of n rows of 5-7 classes; ``sum(axis=0)``
+    adds its C rows in order. The bias gradient is the sequential sum over
+    samples that ``mean(axis=0)`` makes on the (n, C) buffer; ``einsum``
+    makes it without one reduce call per row. The buffers are reused; the
+    returned gradients are fresh.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, n_classes: int):
@@ -311,7 +276,7 @@ class _TrainingStep:
         np.add(logits.T, bias.astype(x.dtype)[:, None], out=z)
         z -= np.max(z, axis=0, out=per_sample)
         np.exp(z, out=z)
-        z /= _class_sum(z, per_sample)
+        z /= np.sum(z, axis=0, out=per_sample)
         np.take(z, self.target, out=per_sample, mode="clip")  # indices in range
         loss = float(-np.mean(np.log(per_sample, out=per_sample)))
         z -= self.onehot  # probs - onehot(y)
@@ -335,31 +300,37 @@ def train_model(config: PilotConfig,
                 learning_rate: float = DEFAULT_LEARNING_RATE,
                 iterations: int = DEFAULT_ITERATIONS,
                 seed: int = 0) -> tuple[ClassifierModel, list[float]]:
-    """Full-batch gradient descent; returns the model and per-iteration losses.
+    """Full-batch gradient descent with heavy-ball momentum
+    (``v = MOMENTUM * v - learning_rate * g; w += v``) for a fixed number of
+    iterations; returns the model and the loss of each iteration.
 
     The step runs in float32, on one float32 copy of the batch, which halves
-    the bytes that each of its two matrix products streams. The weights and
-    bias stay float64 and take the float32 gradients, so the model and its
-    artifact are float64 as before. The batch is checked once, not on every
-    iteration, before and after the cast: a finite feature beyond float32's
-    range would otherwise turn into ``inf``."""
+    the bytes that each of its two matrix products streams. The weights,
+    bias and velocities stay float64 and take the float32 gradients, so the
+    model and its artifact are float64. The batch is checked once, not on
+    every iteration, before and after the cast: a finite feature beyond
+    float32's range would otherwise turn into ``inf``. The initial weights
+    draw from ``seed``."""
     n_classes = config.n_pilots + 1
     _check_batch(x_train, y_train, n_classes)
     with np.errstate(over="ignore"):  # an overflow is refused just below
         batch = x_train.astype(np.float32)
     _check_batch(batch, y_train, n_classes)
     step = _TrainingStep(batch, y_train, n_classes)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(derive_seed(seed, SEED_WEIGHTS))
     weights = rng.normal(0.0, 0.01, (n_classes, config.n_subcarriers))
     bias = np.zeros(n_classes)
+    velocity_w, velocity_b = np.zeros_like(weights), np.zeros_like(bias)
     history: list[float] = []
     for iteration in range(iterations):
         loss, grad_w, grad_b = step(weights, bias)
         if not np.isfinite(loss):
             raise TrainingDivergedError(iteration)
         history.append(loss)
-        weights -= learning_rate * grad_w
-        bias -= learning_rate * grad_b
+        velocity_w = MOMENTUM * velocity_w - learning_rate * grad_w
+        velocity_b = MOMENTUM * velocity_b - learning_rate * grad_b
+        weights += velocity_w
+        bias += velocity_b
     model = ClassifierModel(weights=weights, bias=bias, pilot_config=config,
                             norm_stats=norm_stats, seed=seed)
     return model, history
@@ -472,7 +443,7 @@ def select_new_pilots(current: PilotConfig, jammed_index: int,
                            if i not in current.pilot_indices])
     if len(candidates) < current.n_pilots:
         raise ValueError("not enough free subcarriers to relocate pilots")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(derive_seed(seed, SEED_RELOCATE))
     chosen = np.sort(rng.choice(candidates, size=current.n_pilots, replace=False))
     return PilotConfig(current.n_subcarriers, tuple(int(i) for i in chosen),
                        current.label)
@@ -519,9 +490,6 @@ class BaseStation:
     @property
     def pilots(self) -> PilotConfig:
         return self._state[1]
-
-    def snapshot(self) -> tuple[ClassifierModel, PilotConfig]:
-        return self._state
 
     def install(self, model: ClassifierModel) -> None:
         # single reference assignment: readers never observe a mixed pair
@@ -614,7 +582,7 @@ class ModelFactoryService(TwinService):
 
     def _build(self, pilots: PilotConfig, seed: int
                ) -> tuple[ClassifierModel, RedeployTiming]:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(derive_seed(seed, SEED_DATA))
         t0 = time.perf_counter()
         train_powers, y_train = generate_labeled_frames(pilots, self.n_train, rng)
         test_powers, y_test = generate_labeled_frames(pilots, self.n_test, rng)

@@ -26,6 +26,7 @@ from .link import (TOPIC_DT_EVAL_RESULT, TOPIC_RW_REQUEST, EnvelopeError,
                    LinkEndpoint, MessageEnvelope, TwinService,
                    max_payload_bytes, unpack_payload)
 from .netsim import CellSim, NetworkState, ScenarioConfig
+from .seeds import derive_seed
 
 log = logging.getLogger(__name__)
 
@@ -225,8 +226,7 @@ def decode_eval_result(payload: bytes) -> TwinEvaluation:
 
 def reseeded(scenario: ScenarioConfig, *keys: int) -> ScenarioConfig:
     """``scenario`` with the seed derived from (its seed, *keys)."""
-    seed = np.random.SeedSequence([scenario.seed, *keys]).generate_state(1)[0]
-    return replace(scenario, seed=int(seed))
+    return replace(scenario, seed=derive_seed(scenario.seed, *keys))
 
 
 def twin_sim_for(scenario: ScenarioConfig, request_id: int) -> CellSim:

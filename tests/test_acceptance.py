@@ -51,6 +51,8 @@ from twinet.sadr import (
     twin_evaluate,
 )
 
+from pilot_data import make_dataset, snapshot
+
 
 def report(number: int, name: str, failures: list) -> None:
     status = "FAIL" if failures else "PASS"
@@ -351,7 +353,7 @@ def test_criterion_7_classifier_correctness():
             failures.append(f"case {case}: gradient relative error {worst:.2e}")
             break
     config = pg.PilotConfig.for_scenario("10 MHz", seed=7)
-    x_train, y_train, _, _, stats = pg.make_dataset(config, 1000, 200, seed=7)
+    x_train, y_train, _, _, stats = make_dataset(config, 1000, 200, seed=7)
     _, history = pg.train_model(config, x_train, y_train, stats,
                                 learning_rate=0.01, seed=7)
     if not np.all(np.diff(history) <= 1e-12):
@@ -371,7 +373,7 @@ def test_criterion_8_accuracy_trend():
         accuracies = []
         for seed in seeds:
             config = pg.PilotConfig.for_scenario(label, seed=seed)
-            x_train, y_train, x_test, y_test, stats = pg.make_dataset(
+            x_train, y_train, x_test, y_test, stats = make_dataset(
                 config, seed=seed
             )
             model, _ = pg.train_model(config, x_train, y_train, stats, seed=seed)
@@ -415,7 +417,7 @@ def test_criterion_9_redeploy_pipeline():
     # atomicity: concurrent readers during repeated installs
     import threading
     config = pg.PilotConfig(16, (4, 7, 10), "10 MHz")
-    x, y, _, _, stats = pg.make_dataset(config, 100, 20, seed=9)
+    x, y, _, _, stats = make_dataset(config, 100, 20, seed=9)
     model, _ = pg.train_model(config, x, y, stats, seed=9, iterations=1)
     station = pg.BaseStation(model)
     stop = threading.Event()
@@ -423,7 +425,7 @@ def test_criterion_9_redeploy_pipeline():
 
     def reader():
         while not stop.is_set():
-            observed_model, observed_pilots = station.snapshot()
+            observed_model, observed_pilots = snapshot(station)
             if observed_model.pilot_config is not observed_pilots:
                 mixed.append(True)
 
@@ -433,7 +435,7 @@ def test_criterion_9_redeploy_pipeline():
     current = config
     for i in range(30):
         current = pg.select_new_pilots(current, current.pilot_indices[0], seed=i)
-        x, y, _, _, s = pg.make_dataset(current, 50, 10, seed=i)
+        x, y, _, _, s = make_dataset(current, 50, 10, seed=i)
         next_model, _ = pg.train_model(current, x, y, s, seed=i, iterations=1)
         station.install(next_model)
     stop.set()

@@ -1,3 +1,4 @@
+import contextlib
 import random
 import socket
 import sys
@@ -420,6 +421,38 @@ class TestLifecycle:
             client = MqttClient("x", *silent.getsockname())
             with pytest.raises(BrokerUnreachableError):
                 within(1.0, client.connect)
+
+    def test_qos1_publish_ends_by_its_deadline_while_packets_keep_arriving(
+            self, monkeypatch):
+        # a peer that streams PUBLISH frames without end and never acks
+        monkeypatch.setattr(client_mod, "ACK_TIMEOUT_S", 0.3)
+        listener = socket.create_server(("127.0.0.1", 0))
+        done = threading.Event()
+
+        def stream_publishes():
+            sock, _ = listener.accept()
+            with sock, sock.makefile("rb") as stream:
+                read_packet(stream)
+                sock.sendall(b"".join(encode_packet(ConnAck(0))))
+                burst = b"".join(encode_packet(Publish("t", b"x" * 10))) * 100
+                with contextlib.suppress(OSError):
+                    while not done.is_set():
+                        sock.sendall(burst)
+
+        peer = threading.Thread(target=stream_publishes, daemon=True)
+        peer.start()
+        client = MqttClient("c", *listener.getsockname())
+        client.connect()
+        start = time.monotonic()
+        with pytest.raises(TimeoutError, match="by its deadline"):
+            within(3.0, lambda: client.publish("t", b"x", qos=1))
+        elapsed = time.monotonic() - start
+        done.set()
+        client.close()
+        peer.join(timeout=2.0)
+        listener.close()
+        assert not peer.is_alive()
+        assert elapsed < 1.5
 
     def test_stop_returns_promptly(self):
         from twinet.broker import Broker
