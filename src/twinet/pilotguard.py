@@ -17,6 +17,7 @@ from __future__ import annotations
 import ctypes
 import logging
 import struct
+import threading
 import time
 import zlib
 from dataclasses import dataclass, replace
@@ -169,35 +170,40 @@ def _balanced_labels(n: int, n_classes: int, rng: np.random.Generator) -> np.nda
     return labels
 
 
-def generate_labeled_frames(config: PilotConfig, n: int,
-                            rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Class-balanced raw power matrix (n, K) and labels (n,).
-
-    Equal, bit for bit, to ``generate_frame`` over the shuffled labels: one
-    (n, K) normal draw takes the same stream, row by row, as n draws of K.
-    """
+def generate_labeled_frames(config: PilotConfig, n: int, rng: np.random.Generator,
+                            out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Class-balanced raw powers (n, K), into ``out`` if given, and labels (n,);
+    equal, bit for bit, to ``generate_frame`` over the shuffled labels: one
+    (n, K) normal draw takes the same stream, row by row, as n draws of K."""
     if n < 1:
         raise ValueError(f"need at least one frame, got n={n}")
     labels = _balanced_labels(n, config.n_pilots + 1, rng)
-    powers = np.tile(base_template(config), (n, 1))
+    powers = rng.standard_normal((n, config.n_subcarriers), out=out)
+    powers *= LOG_NOISE_SIGMA  # normal(0, sigma) draws sigma * z
+    np.exp(powers, out=powers)
     jammed = np.flatnonzero(labels)
     pilots = np.asarray(config.pilot_indices)[labels[jammed] - 1]
-    powers[jammed, pilots] += JAMMER_POWER
-    powers *= np.exp(rng.normal(0.0, LOG_NOISE_SIGMA, powers.shape))
+    jammed_powers = powers[jammed, pilots] * (PILOT_POWER + JAMMER_POWER)
+    powers *= base_template(config)
+    powers[jammed, pilots] = jammed_powers
     return powers, labels
 
 
-def normalize_dataset(train_powers: np.ndarray,
-                      test_powers: np.ndarray) -> tuple[np.ndarray, np.ndarray, NormStats]:
-    """Z-score log-powers with statistics from the training set only."""
-    log_train = np.log(train_powers)
-    mean = log_train.mean(axis=0)
-    std = log_train.std(axis=0)
+def normalize_dataset(train_powers: np.ndarray, test_powers: np.ndarray,
+                      scratch: np.ndarray | None = None
+                      ) -> tuple[np.ndarray, np.ndarray, NormStats]:
+    """Z-score log-powers in place with statistics from the training set only;
+    ``std(axis=0)``'s squared deviations go to ``scratch`` if given."""
+    x_train = np.log(train_powers, out=train_powers)
+    mean = x_train.mean(axis=0)
+    x_train -= mean
+    std = np.sqrt(np.square(x_train, out=scratch).sum(axis=0) / len(x_train))
     std = np.where(std == 0.0, 1.0, std)  # degenerate features pass through
-    stats = NormStats(mean, std)
-    x_train = (log_train - mean) / std
-    x_test = (np.log(test_powers) - mean) / std
-    return x_train, x_test, stats
+    x_train /= std
+    x_test = np.log(test_powers, out=test_powers)
+    x_test -= mean
+    x_test /= std
+    return x_train, x_test, NormStats(mean, std)
 
 
 # -- classifier ---------------------------------------------------------------
@@ -304,17 +310,17 @@ def train_model(config: PilotConfig,
     (``v = MOMENTUM * v - learning_rate * g; w += v``) for a fixed number of
     iterations; returns the model and the loss of each iteration.
 
-    The step runs in float32, on one float32 copy of the batch, which halves
-    the bytes that each of its two matrix products streams. The weights,
-    bias and velocities stay float64 and take the float32 gradients, so the
-    model and its artifact are float64. The batch is checked once, not on
-    every iteration, before and after the cast: a finite feature beyond
-    float32's range would otherwise turn into ``inf``. The initial weights
-    draw from ``seed``."""
+    The step runs in float32, on a float32 batch (a copy of ``x_train``
+    unless it is float32 already), which halves the bytes that each of its
+    two matrix products streams. The weights, bias and velocities stay
+    float64 and take the float32 gradients, so the model and its artifact
+    are float64. The batch is checked once, not on every iteration, before
+    and after the cast: a finite feature beyond float32's range would
+    otherwise turn into ``inf``. The initial weights draw from ``seed``."""
     n_classes = config.n_pilots + 1
     _check_batch(x_train, y_train, n_classes)
     with np.errstate(over="ignore"):  # an overflow is refused just below
-        batch = x_train.astype(np.float32)
+        batch = x_train.astype(np.float32, copy=False)
     _check_batch(batch, y_train, n_classes)
     step = _TrainingStep(batch, y_train, n_classes)
     rng = np.random.default_rng(derive_seed(seed, SEED_WEIGHTS))
@@ -540,16 +546,8 @@ except (AttributeError, OSError, TypeError):  # not glibc
 
 
 def _release_free_heap() -> None:
-    """Hand the free pages of every malloc arena back to the OS (glibc's
-    ``malloc_trim(0)``; a no-op elsewhere).
-
-    A build's arrays of 1-5 MB come from a malloc heap, and free only
-    shrinks a heap down to its highest live block, so one small block left
-    above them keeps the whole freed data set resident. When that happens
-    in one thread's arena while another thread builds in its own, resident
-    memory holds two data sets. ``malloc_trim`` returns the pages of every
-    free block wherever it lies.
-    """
+    """Hand the free pages of every malloc arena back to the OS, wherever a
+    free block lies (glibc's ``malloc_trim(0)``; a no-op elsewhere)."""
     if _malloc_trim is not None:
         _malloc_trim(0)
 
@@ -567,6 +565,8 @@ class ModelFactoryService(TwinService):
         self.n_test = n_test
         self.last_timing: RedeployTiming | None = None
         self.last_accuracies: tuple[float, float] | None = None
+        self._arrays: dict[str, np.ndarray] = {}
+        self._build_lock = threading.Lock()
 
     def build_model(self, pilots: PilotConfig, seed: int
                     ) -> tuple[ClassifierModel, RedeployTiming]:
@@ -574,25 +574,38 @@ class ModelFactoryService(TwinService):
         are left at 0 for ``handle`` (the request's transfer) and
         ``run_redeploy_pipeline`` (the artifact's, and the total) to fill in.
 
-        The data set's arrays are freed before it returns, and their pages
-        handed back to the OS (``_release_free_heap``)."""
-        built = self._build(pilots, seed)
-        _release_free_heap()
-        return built
+        One build runs at a time, on (n, K) arrays kept between builds, so a
+        build on grown arrays makes and frees no data set on any thread."""
+        with self._build_lock:
+            return self._build(pilots, seed)
+
+    def _kept(self, name: str, shape: tuple[int, int], dtype=np.float64) -> np.ndarray:
+        """A ``shape`` view of the kept array ``name``, grown as needed."""
+        size = shape[0] * shape[1]
+        if self._arrays.get(name, np.empty(0)).size < size:
+            self._arrays[name] = np.empty(size, dtype)
+        return self._arrays[name][:size].reshape(shape)
 
     def _build(self, pilots: PilotConfig, seed: int
                ) -> tuple[ClassifierModel, RedeployTiming]:
         rng = np.random.default_rng(derive_seed(seed, SEED_DATA))
+        train, test = (self.n_train, pilots.n_subcarriers), (self.n_test, pilots.n_subcarriers)
         t0 = time.perf_counter()
-        train_powers, y_train = generate_labeled_frames(pilots, self.n_train, rng)
-        test_powers, y_test = generate_labeled_frames(pilots, self.n_test, rng)
+        train_powers, y_train = generate_labeled_frames(
+            pilots, self.n_train, rng, self._kept("train", train))
+        test_powers, y_test = generate_labeled_frames(
+            pilots, self.n_test, rng, self._kept("test", test))
         t1 = time.perf_counter()
-        x_train, x_test, stats = normalize_dataset(train_powers, test_powers)
+        x_train, x_test, stats = normalize_dataset(
+            train_powers, test_powers, self._kept("scratch", train))
         t2 = time.perf_counter()
-        model, _ = train_model(pilots, x_train, y_train, stats, seed=seed)
+        batch = self._kept("batch", train, np.float32)
+        np.copyto(batch, x_train)  # the float32 copy that train_model trains on
+        model, _ = train_model(pilots, batch, y_train, stats, seed=seed)
         t3 = time.perf_counter()
         self.last_accuracies = (accuracy(model, x_train, y_train),
                                 accuracy(model, x_test, y_test))
+        _release_free_heap()
         return model, RedeployTiming(
             data_transfer_s=0.0, data_collection_s=t1 - t0,
             data_processing_s=t2 - t1, model_creation_s=t3 - t2,

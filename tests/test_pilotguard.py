@@ -1,5 +1,6 @@
 import threading
 import time
+import tracemalloc
 import types
 import zlib
 
@@ -67,6 +68,16 @@ class TestBatchedFrames:
         assert np.array_equal(labels, ref_labels)
         assert batched_rng.bit_generator.state == reference_rng.bit_generator.state
 
+    def test_out_receives_the_same_powers(self):
+        config = pg.PilotConfig.for_scenario("40 MHz", seed=5)
+        powers, labels = pg.generate_labeled_frames(config, 301, np.random.default_rng(6))
+        out = np.full((301, config.n_subcarriers), np.nan)
+        again, again_labels = pg.generate_labeled_frames(
+            config, 301, np.random.default_rng(6), out=out)
+        assert again is out
+        assert out.tobytes() == powers.tobytes()
+        assert np.array_equal(again_labels, labels)
+
     @pytest.mark.parametrize("n", [0, -1])
     def test_no_frames_rejected(self, n):
         with pytest.raises(ValueError, match="at least one frame"):
@@ -92,6 +103,22 @@ class TestDataset:
         _, _, x_test, _, stats = make_dataset(config, 2000, 100, seed=3)
         # normalized with train stats, so test's own mean is not exactly 0
         assert not np.allclose(x_test.mean(axis=0), 0.0, atol=1e-6)
+
+    def test_in_place_equals_numpy_statistics(self):
+        config = pg.PilotConfig.for_scenario("20 MHz", seed=4)
+        rng = np.random.default_rng(8)
+        train, _ = pg.generate_labeled_frames(config, 997, rng)
+        test, _ = pg.generate_labeled_frames(config, 101, rng)
+        log_train = np.log(train)
+        mean, std = log_train.mean(axis=0), log_train.std(axis=0)
+        expected_train = ((log_train - mean) / std).tobytes()
+        expected_test = ((np.log(test) - mean) / std).tobytes()
+        x_train, x_test, stats = pg.normalize_dataset(train, test, np.empty_like(train))
+        assert x_train is train and x_test is test
+        assert stats.mean.tobytes() == mean.tobytes()
+        assert stats.std.tobytes() == std.tobytes()
+        assert x_train.tobytes() == expected_train
+        assert x_test.tobytes() == expected_test
 
     def test_zero_variance_feature_passthrough(self):
         train = np.ones((10, 4))
@@ -611,6 +638,34 @@ class TestModelFactoryService:
         model, _ = factory.build_model(pg.PilotConfig.for_scenario(label, seed), seed)
         assert zlib.crc32(pg.encode_model(model)) == crc
         assert factory.last_accuracies == accuracies
+
+    def test_kept_arrays_give_a_fresh_factory_s_model(self):
+        link = types.SimpleNamespace(subscribe=lambda topic: None)
+        kept = pg.ModelFactoryService(link, n_train=300, n_test=60)
+        for label in ("40 MHz", "10 MHz", "20 MHz"):  # K 128, then 64, then 128
+            pilots = pg.PilotConfig.for_scenario(label, 9)
+            model, _ = kept.build_model(pilots, 9)
+            fresh = pg.ModelFactoryService(link, n_train=300, n_test=60)
+            expected, _ = fresh.build_model(pilots, 9)
+            assert pg.encode_model(model) == pg.encode_model(expected)
+            assert kept.last_accuracies == fresh.last_accuracies
+
+    def test_a_build_on_grown_arrays_allocates_little(self):
+        link = types.SimpleNamespace(subscribe=lambda topic: None)
+        factory = pg.ModelFactoryService(link)
+        pilots = pg.PilotConfig.for_scenario("40 MHz", 3)
+        factory.build_model(pilots, 3)
+        arrays = dict(factory._arrays)
+        tracemalloc.start()
+        try:
+            factory.build_model(pilots, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(factory._arrays[name] is arrays[name] for name in arrays)
+        # the (n, K) data set alone is 5.1 MB; what is left is the step's
+        # (n, C) buffers and the checks' and accuracies' temporaries
+        assert peak < 2 << 20
 
     def test_malformed_payload_does_not_stop_the_service(self, broker):
         config = small_config()
