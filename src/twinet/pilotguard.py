@@ -20,7 +20,7 @@ import struct
 import threading
 import time
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Iterable
 
 import numpy as np
@@ -49,6 +49,7 @@ DEFAULT_LEARNING_RATE = 0.01
 DEFAULT_ITERATIONS = 100
 MOMENTUM = 0.9
 DEFAULT_DEBOUNCE = 3
+SUM_BLOCK_ROWS = 128  # rows that normalize_dataset squares and sums at a time
 
 # (n_subcarriers, n_pilots) per named channel scenario
 SCENARIOS = {
@@ -189,15 +190,23 @@ def generate_labeled_frames(config: PilotConfig, n: int, rng: np.random.Generato
     return powers, labels
 
 
-def normalize_dataset(train_powers: np.ndarray, test_powers: np.ndarray,
-                      scratch: np.ndarray | None = None
+def normalize_dataset(train_powers: np.ndarray, test_powers: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray, NormStats]:
-    """Z-score log-powers in place with statistics from the training set only;
-    ``std(axis=0)``'s squared deviations go to ``scratch`` if given."""
+    """Z-score log-powers in place with statistics from the training set only.
+    The squared deviations are summed ``SUM_BLOCK_ROWS`` rows at a time, each
+    block with the running total in a (B + 1, K) buffer; ``sum(axis=0)`` adds
+    a C-contiguous array's rows one by one, so this is numpy's sum bit for bit."""
     x_train = np.log(train_powers, out=train_powers)
     mean = x_train.mean(axis=0)
     x_train -= mean
-    std = np.sqrt(np.square(x_train, out=scratch).sum(axis=0) / len(x_train))
+    block = np.empty((min(SUM_BLOCK_ROWS, len(x_train)) + 1, x_train.shape[1]))
+    total = np.square(x_train[0])
+    for start in range(1, len(x_train), SUM_BLOCK_ROWS):
+        rows = x_train[start:start + SUM_BLOCK_ROWS]
+        block[0] = total
+        np.square(rows, out=block[1:len(rows) + 1])
+        np.sum(block[:len(rows) + 1], axis=0, out=total)
+    std = np.sqrt(total / len(x_train))
     std = np.where(std == 0.0, 1.0, std)  # degenerate features pass through
     x_train /= std
     x_test = np.log(test_powers, out=test_powers)
@@ -467,14 +476,8 @@ class RedeployTiming:
     total_deployment_s: float
 
     def to_row(self, channel_size: str) -> dict:
-        return {
-            "channel_size": channel_size,
-            "data_transfer_s": round(self.data_transfer_s, 6),
-            "data_collection_s": round(self.data_collection_s, 6),
-            "data_processing_s": round(self.data_processing_s, 6),
-            "model_creation_s": round(self.model_creation_s, 6),
-            "total_deployment_s": round(self.total_deployment_s, 6),
-        }
+        return {"channel_size": channel_size,
+                **{name: round(value, 6) for name, value in asdict(self).items()}}
 
 
 @dataclass(frozen=True)
@@ -557,12 +560,10 @@ class ModelFactoryService(TwinService):
 
     request_kind = "ModelRequest"
 
-    def __init__(self, link: LinkEndpoint,
-                 n_train: int = DEFAULT_N_TRAIN,
+    def __init__(self, link: LinkEndpoint, n_train: int = DEFAULT_N_TRAIN,
                  n_test: int = DEFAULT_N_TEST):
         super().__init__(link, TOPIC_DT_MODEL_REQUEST)
-        self.n_train = n_train
-        self.n_test = n_test
+        self.n_train, self.n_test = n_train, n_test
         self.last_timing: RedeployTiming | None = None
         self.last_accuracies: tuple[float, float] | None = None
         self._arrays: dict[str, np.ndarray] = {}
@@ -596,8 +597,7 @@ class ModelFactoryService(TwinService):
         test_powers, y_test = generate_labeled_frames(
             pilots, self.n_test, rng, self._kept("test", test))
         t1 = time.perf_counter()
-        x_train, x_test, stats = normalize_dataset(
-            train_powers, test_powers, self._kept("scratch", train))
+        x_train, x_test, stats = normalize_dataset(train_powers, test_powers)
         t2 = time.perf_counter()
         batch = self._kept("batch", train, np.float32)
         np.copyto(batch, x_train)  # the float32 copy that train_model trains on

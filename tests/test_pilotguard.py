@@ -104,16 +104,19 @@ class TestDataset:
         # normalized with train stats, so test's own mean is not exactly 0
         assert not np.allclose(x_test.mean(axis=0), 0.0, atol=1e-6)
 
-    def test_in_place_equals_numpy_statistics(self):
+    @pytest.mark.parametrize("n", [1, pg.SUM_BLOCK_ROWS - 1, pg.SUM_BLOCK_ROWS,
+                                   pg.SUM_BLOCK_ROWS + 1, 997, 5000])
+    def test_in_place_equals_numpy_statistics(self, n):
         config = pg.PilotConfig.for_scenario("20 MHz", seed=4)
         rng = np.random.default_rng(8)
-        train, _ = pg.generate_labeled_frames(config, 997, rng)
+        train, _ = pg.generate_labeled_frames(config, n, rng)
         test, _ = pg.generate_labeled_frames(config, 101, rng)
         log_train = np.log(train)
         mean, std = log_train.mean(axis=0), log_train.std(axis=0)
+        std = np.where(std == 0.0, 1.0, std)  # one row: every feature is flat
         expected_train = ((log_train - mean) / std).tobytes()
         expected_test = ((np.log(test) - mean) / std).tobytes()
-        x_train, x_test, stats = pg.normalize_dataset(train, test, np.empty_like(train))
+        x_train, x_test, stats = pg.normalize_dataset(train, test)
         assert x_train is train and x_test is test
         assert stats.mean.tobytes() == mean.tobytes()
         assert stats.std.tobytes() == std.tobytes()
@@ -663,6 +666,10 @@ class TestModelFactoryService:
         finally:
             tracemalloc.stop()
         assert all(factory._arrays[name] is arrays[name] for name in arrays)
+        # the training and test powers and the float32 batch: 8.7 MB at K = 128
+        n, k = factory.n_train, pilots.n_subcarriers
+        assert sum(a.nbytes for a in arrays.values()) == (
+            (n + factory.n_test) * k * 8 + n * k * 4)
         # the (n, K) data set alone is 5.1 MB; what is left is the step's
         # (n, C) buffers and the checks' and accuracies' temporaries
         assert peak < 2 << 20
