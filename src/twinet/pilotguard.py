@@ -45,8 +45,8 @@ LOG_NOISE_SIGMA = 0.1
 
 DEFAULT_N_TRAIN = 5000
 DEFAULT_N_TEST = 1000
-DEFAULT_LEARNING_RATE = 0.01
-DEFAULT_ITERATIONS = 100
+DEFAULT_LEARNING_RATE = 0.1
+DEFAULT_ITERATIONS = 40
 MOMENTUM = 0.9
 DEFAULT_DEBOUNCE = 3
 SUM_BLOCK_ROWS = 128  # rows that normalize_dataset squares and sums at a time
@@ -317,15 +317,15 @@ def train_model(config: PilotConfig,
                 seed: int = 0) -> tuple[ClassifierModel, list[float]]:
     """Full-batch gradient descent with heavy-ball momentum
     (``v = MOMENTUM * v - learning_rate * g; w += v``) for a fixed number of
-    iterations; returns the model and the loss of each iteration.
+    iterations; returns the model and the loss of each iteration. It converges
+    for ``0 < learning_rate < 2 (1 + MOMENTUM) / L`` (Polyak, 1964), where the
+    curvature L is at most about 0.7 on z-scored features: 0.1 is 1/14 of 1/L.
 
-    The step runs in float32, on a float32 batch (a copy of ``x_train``
-    unless it is float32 already), which halves the bytes that each of its
-    two matrix products streams. The weights, bias and velocities stay
-    float64 and take the float32 gradients, so the model and its artifact
-    are float64. The batch is checked once, not on every iteration, before
-    and after the cast: a finite feature beyond float32's range would
-    otherwise turn into ``inf``. The initial weights draw from ``seed``."""
+    The step runs in float32 on a float32 batch (a copy of ``x_train`` unless
+    it is float32 already), halving the bytes its two matrix products stream;
+    the weights, bias and velocities, and so the model, stay float64. The
+    batch is checked once, before and after the cast: a finite feature beyond
+    float32's range would otherwise be ``inf``. ``seed`` draws the weights."""
     n_classes = config.n_pilots + 1
     _check_batch(x_train, y_train, n_classes)
     with np.errstate(over="ignore"):  # an overflow is refused just below
