@@ -49,7 +49,7 @@ DEFAULT_LEARNING_RATE = 0.1
 DEFAULT_ITERATIONS = 40
 MOMENTUM = 0.9
 DEFAULT_DEBOUNCE = 3
-SUM_BLOCK_ROWS = 128  # rows that normalize_dataset squares and sums at a time
+SUM_BLOCK_ROWS = 128  # rows that the frame draw and the variance sum take at a time
 
 # (n_subcarriers, n_pilots) per named channel scenario
 SCENARIOS = {
@@ -173,38 +173,48 @@ def _balanced_labels(n: int, n_classes: int, rng: np.random.Generator) -> np.nda
 
 def generate_labeled_frames(config: PilotConfig, n: int, rng: np.random.Generator,
                             out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Class-balanced raw powers (n, K), into ``out`` if given, and labels (n,);
-    equal, bit for bit, to ``generate_frame`` over the shuffled labels: one
-    (n, K) normal draw takes the same stream, row by row, as n draws of K."""
+    """Class-balanced float32 raw powers (n, K), into ``out`` if given, and
+    labels (n,): ``generate_frame``'s float64 powers over the shuffled labels,
+    each rounded once. One float64 block draws ``SUM_BLOCK_ROWS`` rows at a
+    time, the same stream, row by row, as n draws of K, and computes them."""
     if n < 1:
         raise ValueError(f"need at least one frame, got n={n}")
+    shape = (n, config.n_subcarriers)
+    out = np.empty(shape, np.float32) if out is None else out
+    if out.shape != shape or out.dtype != np.float32:
+        raise ValueError(f"out must be float32 {shape}, got {out.dtype} {out.shape}")
     labels = _balanced_labels(n, config.n_pilots + 1, rng)
-    powers = rng.standard_normal((n, config.n_subcarriers), out=out)
-    powers *= LOG_NOISE_SIGMA  # normal(0, sigma) draws sigma * z
-    np.exp(powers, out=powers)
-    jammed = np.flatnonzero(labels)
-    pilots = np.asarray(config.pilot_indices)[labels[jammed] - 1]
-    jammed_powers = powers[jammed, pilots] * (PILOT_POWER + JAMMER_POWER)
-    powers *= base_template(config)
-    powers[jammed, pilots] = jammed_powers
-    return powers, labels
+    template, pilot_at = base_template(config), np.asarray(config.pilot_indices)
+    block = np.empty((min(SUM_BLOCK_ROWS, n), config.n_subcarriers))
+    for start in range(0, n, SUM_BLOCK_ROWS):
+        block_labels = labels[start:start + SUM_BLOCK_ROWS]
+        powers = rng.standard_normal(out=block[:len(block_labels)])
+        powers *= LOG_NOISE_SIGMA  # normal(0, sigma) draws sigma * z
+        np.exp(powers, out=powers)
+        jammed = np.flatnonzero(block_labels)
+        pilots = pilot_at[block_labels[jammed] - 1]
+        rows = np.multiply(powers, template, out=out[start:start + len(powers)])
+        rows[jammed, pilots] = powers[jammed, pilots] * (PILOT_POWER + JAMMER_POWER)
+    return out, labels
 
 
 def normalize_dataset(train_powers: np.ndarray, test_powers: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray, NormStats]:
-    """Z-score log-powers in place with statistics from the training set only.
-    The squared deviations are summed ``SUM_BLOCK_ROWS`` rows at a time, each
-    block with the running total in a (B + 1, K) buffer; ``sum(axis=0)`` adds
-    a C-contiguous array's rows one by one, so this is numpy's sum bit for bit."""
+    """Z-score float32 log-powers in place with the training set's float64
+    statistics; ``-= mean`` and ``/= std`` each round to float32. The float64
+    squared deviations are summed ``SUM_BLOCK_ROWS`` rows at a time after the
+    running total in a (B + 1, K) buffer; ``sum(axis=0)`` adds a C-contiguous
+    array's rows one by one, so this is numpy's sum of the squares bit for bit."""
     x_train = np.log(train_powers, out=train_powers)
-    mean = x_train.mean(axis=0)
-    x_train -= mean
-    block = np.empty((min(SUM_BLOCK_ROWS, len(x_train)) + 1, x_train.shape[1]))
-    total = np.square(x_train[0])
-    for start in range(1, len(x_train), SUM_BLOCK_ROWS):
+    mean = x_train.mean(axis=0, dtype=np.float64)
+    block = np.zeros((min(SUM_BLOCK_ROWS, len(x_train)) + 1, x_train.shape[1]))
+    total = block[0].copy()
+    for start in range(0, len(x_train), SUM_BLOCK_ROWS):
         rows = x_train[start:start + SUM_BLOCK_ROWS]
         block[0] = total
-        np.square(rows, out=block[1:len(rows) + 1])
+        deviations = np.subtract(rows, mean, out=block[1:len(rows) + 1])
+        rows[...] = deviations  # x_train -= mean
+        np.square(deviations, out=deviations)
         np.sum(block[:len(rows) + 1], axis=0, out=total)
     std = np.sqrt(total / len(x_train))
     std = np.where(std == 0.0, 1.0, std)  # degenerate features pass through
@@ -321,11 +331,11 @@ def train_model(config: PilotConfig,
     for ``0 < learning_rate < 2 (1 + MOMENTUM) / L`` (Polyak, 1964), where the
     curvature L is at most about 0.7 on z-scored features: 0.1 is 1/14 of 1/L.
 
-    The step runs in float32 on a float32 batch (a copy of ``x_train`` unless
-    it is float32 already), halving the bytes its two matrix products stream;
-    the weights, bias and velocities, and so the model, stay float64. The
-    batch is checked once, before and after the cast: a finite feature beyond
-    float32's range would otherwise be ``inf``. ``seed`` draws the weights."""
+    The step runs in float32, on ``x_train`` itself if it is float32, as the
+    factory's is, else on a float32 copy; the weights, bias and velocities,
+    and so the model, stay float64. The batch is checked before and after the
+    cast: a finite float64 feature beyond float32's range would be ``inf``.
+    ``seed`` draws the weights."""
     n_classes = config.n_pilots + 1
     _check_batch(x_train, y_train, n_classes)
     with np.errstate(over="ignore"):  # an overflow is refused just below
@@ -355,17 +365,17 @@ def predict(model: ClassifierModel, frame: SpectrumFrame | np.ndarray):
     """(jam_class, probabilities); argmax ties break toward the lower class."""
     powers = frame.powers if isinstance(frame, SpectrumFrame) else frame
     if powers.shape != (model.pilot_config.n_subcarriers,):
-        raise ValueError(
-            f"frame length {powers.shape} does not match "
-            f"K={model.pilot_config.n_subcarriers}"
-        )
+        raise ValueError(f"frame length {powers.shape} does not match "
+                         f"K={model.pilot_config.n_subcarriers}")
     x = features(powers, model.norm_stats)
     probs = softmax(model.weights @ x + model.bias)
     return int(np.argmax(probs)), probs
 
 
 def accuracy(model: ClassifierModel, x: np.ndarray, y: np.ndarray) -> float:
-    probs = softmax(x @ model.weights.T + model.bias)
+    """Share of rows of ``x`` classified as ``y``, computed in ``x``'s dtype:
+    the weights and bias are cast to it, so no (n, K) float64 copy is made."""
+    probs = softmax(x @ model.weights.T.astype(x.dtype) + model.bias.astype(x.dtype))
     return float(np.mean(np.argmax(probs, axis=1) == y))
 
 
@@ -580,28 +590,26 @@ class ModelFactoryService(TwinService):
         with self._build_lock:
             return self._build(pilots, seed)
 
-    def _kept(self, name: str, shape: tuple[int, int], dtype=np.float64) -> np.ndarray:
-        """A ``shape`` view of the kept array ``name``, grown as needed."""
+    def _kept(self, name: str, shape: tuple[int, int]) -> np.ndarray:
+        """A ``shape`` float32 view of the kept array ``name``, grown as needed."""
         size = shape[0] * shape[1]
         if self._arrays.get(name, np.empty(0)).size < size:
-            self._arrays[name] = np.empty(size, dtype)
+            self._arrays[name] = np.empty(size, np.float32)
         return self._arrays[name][:size].reshape(shape)
 
     def _build(self, pilots: PilotConfig, seed: int
                ) -> tuple[ClassifierModel, RedeployTiming]:
         rng = np.random.default_rng(derive_seed(seed, SEED_DATA))
-        train, test = (self.n_train, pilots.n_subcarriers), (self.n_test, pilots.n_subcarriers)
+        k = pilots.n_subcarriers
         t0 = time.perf_counter()
         train_powers, y_train = generate_labeled_frames(
-            pilots, self.n_train, rng, self._kept("train", train))
+            pilots, self.n_train, rng, self._kept("train", (self.n_train, k)))
         test_powers, y_test = generate_labeled_frames(
-            pilots, self.n_test, rng, self._kept("test", test))
+            pilots, self.n_test, rng, self._kept("test", (self.n_test, k)))
         t1 = time.perf_counter()
         x_train, x_test, stats = normalize_dataset(train_powers, test_powers)
         t2 = time.perf_counter()
-        batch = self._kept("batch", train, np.float32)
-        np.copyto(batch, x_train)  # the float32 copy that train_model trains on
-        model, _ = train_model(pilots, batch, y_train, stats, seed=seed)
+        model, _ = train_model(pilots, x_train, y_train, stats, seed=seed)
         t3 = time.perf_counter()
         self.last_accuracies = (accuracy(model, x_train, y_train),
                                 accuracy(model, x_test, y_test))
@@ -616,9 +624,8 @@ class ModelFactoryService(TwinService):
         model, timing = self.build_model(pilots, seed)
         self.last_timing = replace(timing, data_transfer_s=max(
             0.0, (envelope.recv_at - envelope.sent_at) / 1e6))
-        self.link.publish_envelope(
-            TOPIC_DT_MODEL_ARTIFACT, "ModelArtifactMsg", encode_model(model)
-        )
+        self.link.publish_envelope(TOPIC_DT_MODEL_ARTIFACT, "ModelArtifactMsg",
+                                   encode_model(model))
 
 
 def run_redeploy_pipeline(bs: BaseStation, bs_link: LinkEndpoint,
