@@ -45,8 +45,8 @@ LOG_NOISE_SIGMA = 0.1
 
 DEFAULT_N_TRAIN = 5000
 DEFAULT_N_TEST = 1000
-DEFAULT_LEARNING_RATE = 0.1
-DEFAULT_ITERATIONS = 40
+DEFAULT_LEARNING_RATE = 0.5
+DEFAULT_ITERATIONS = 20
 MOMENTUM = 0.9
 DEFAULT_DEBOUNCE = 3
 SUM_BLOCK_ROWS = 128  # rows that the frame draw and the variance sum take at a time
@@ -329,7 +329,7 @@ def train_model(config: PilotConfig,
     (``v = MOMENTUM * v - learning_rate * g; w += v``) for a fixed number of
     iterations; returns the model and the loss of each iteration. It converges
     for ``0 < learning_rate < 2 (1 + MOMENTUM) / L`` (Polyak, 1964), where the
-    curvature L is at most about 0.7 on z-scored features: 0.1 is 1/14 of 1/L.
+    curvature L is at most about 0.7 on z-scored features: 0.5 is 1/3 of 1/L.
 
     The step runs in float32, on ``x_train`` itself if it is float32, as the
     factory's is, else on a float32 copy; the weights, bias and velocities,

@@ -662,13 +662,13 @@ class TestSwapAtomicity:
 
 class TestModelFactoryService:
     @pytest.mark.parametrize("label, seed, crc, accuracies", [
-        ("10 MHz", 21, 0x17E48AF5, (1.0, 1.0)),
-        ("20 MHz", 22, 0x90E78EE5, (1.0, 0.8666666666666667)),
-        ("40 MHz", 23, 0x3B159EF6, (1.0, 0.9333333333333333)),
+        ("10 MHz", 21, 0x9B21E71E, (1.0, 1.0)),
+        ("20 MHz", 22, 0xDF4EED28, (1.0, 0.8666666666666667)),
+        ("40 MHz", 23, 0x66587B84, (1.0, 0.9166666666666666)),
     ], ids=list(pg.SCENARIOS))
     def test_golden_models(self, label, seed, crc, accuracies):
-        # recorded on the float32 data set with 40 heavy-ball steps at
-        # learning rate 0.1 in float32 and the seeds that derive_seed makes: a change to the factory's
+        # recorded on the float32 data set with 20 heavy-ball steps at
+        # learning rate 0.5 in float32 and the seeds that derive_seed makes: a change to the factory's
         # output must fail here (the tests' oracles say whether it is meant)
         link = types.SimpleNamespace(subscribe=lambda topic: None)
         factory = pg.ModelFactoryService(link, n_train=300, n_test=60)
