@@ -621,7 +621,11 @@ class ModelFactoryService(TwinService):
 
     def handle(self, envelope: MessageEnvelope) -> None:
         pilots, seed = decode_model_request(envelope.payload)
-        model, timing = self.build_model(pilots, seed)
+        try:
+            model, timing = self.build_model(pilots, seed)
+        except TrainingDivergedError as exc:  # a RuntimeError, which run lets through
+            self.link.drop(envelope, exc)
+            return
         self.last_timing = replace(timing, data_transfer_s=max(
             0.0, (envelope.recv_at - envelope.sent_at) / 1e6))
         self.link.publish_envelope(TOPIC_DT_MODEL_ARTIFACT, "ModelArtifactMsg",

@@ -733,6 +733,30 @@ class TestModelFactoryService:
         assert pg.decode_model(envelope.payload).pilot_config == config
         assert dt_link.decode_errors == 3
 
+    def test_diverged_build_does_not_stop_the_service(self, broker, monkeypatch):
+        config = small_config()
+        train_model, calls = pg.train_model, []
+
+        def diverge_once(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                raise pg.TrainingDivergedError(3)
+            return train_model(*args, **kwargs)
+
+        monkeypatch.setattr(pg, "train_model", diverge_once)
+        with LinkEndpoint("dt", broker.host, broker.port) as dt_link, \
+             LinkEndpoint("bs", broker.host, broker.port) as bs_link:
+            factory = pg.ModelFactoryService(dt_link, n_train=100, n_test=20)
+            bs_link.subscribe(pg.TOPIC_DT_MODEL_ARTIFACT)
+            with factory.serving():
+                for seed in (7, 8):
+                    bs_link.publish_envelope(pg.TOPIC_DT_MODEL_REQUEST, "ModelRequest",
+                                             pg.encode_model_request(config, seed))
+                envelope = bs_link.poll_envelope(timeout=10.0)
+        assert envelope is not None and envelope.kind == "ModelArtifactMsg"
+        assert pg.decode_model(envelope.payload).seed == 8
+        assert dt_link.decode_errors == 1
+
 
 def _resident_kb() -> int:
     with open("/proc/self/status") as status:
@@ -759,7 +783,7 @@ def _child_seeds(seed: int, *path: int, n: int = 1) -> list[int]:
     return [int(s) for s in np.random.SeedSequence([seed, *path]).generate_state(n)]
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+@pytest.mark.parametrize("seed", range(1, 9))
 def test_redeploy_cycles_detect_the_jam_before_and_after_the_swap(seed):
     # perfbench's pilot-redeploy checks over a session's first round, one
     # cycle per scenario, without the broker: a model change that breaks
