@@ -331,11 +331,10 @@ def train_model(config: PilotConfig,
     for ``0 < learning_rate < 2 (1 + MOMENTUM) / L`` (Polyak, 1964), where the
     curvature L is at most about 0.7 on z-scored features: 0.5 is 1/3 of 1/L.
 
-    The step runs in float32, on ``x_train`` itself if it is float32, as the
-    factory's is, else on a float32 copy; the weights, bias and velocities,
-    and so the model, stay float64. The batch is checked before and after the
-    cast: a finite float64 feature beyond float32's range would be ``inf``.
-    ``seed`` draws the weights."""
+    The step runs in float32: on ``x_train`` itself if float32 (the factory's
+    is), else on a copy. The weights, bias, velocities and model stay float64.
+    The batch is checked before and after the cast: a finite float64 feature
+    beyond float32's range would be ``inf``. ``seed`` draws the weights."""
     n_classes = config.n_pilots + 1
     _check_batch(x_train, y_train, n_classes)
     with np.errstate(over="ignore"):  # an overflow is refused just below

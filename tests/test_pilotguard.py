@@ -668,8 +668,9 @@ class TestModelFactoryService:
     ], ids=list(pg.SCENARIOS))
     def test_golden_models(self, label, seed, crc, accuracies):
         # recorded on the float32 data set with 20 heavy-ball steps at
-        # learning rate 0.5 in float32 and the seeds that derive_seed makes: a change to the factory's
-        # output must fail here (the tests' oracles say whether it is meant)
+        # learning rate 0.5 in float32 and the seeds that derive_seed makes:
+        # a change to the factory's output must fail here (the tests'
+        # oracles say whether it is meant)
         link = types.SimpleNamespace(subscribe=lambda topic: None)
         factory = pg.ModelFactoryService(link, n_train=300, n_test=60)
         model, _ = factory.build_model(pg.PilotConfig.for_scenario(label, seed), seed)
