@@ -207,8 +207,8 @@ def normalize_dataset(train_powers: np.ndarray, test_powers: np.ndarray
     array's rows one by one, so this is numpy's sum of the squares bit for bit."""
     x_train = np.log(train_powers, out=train_powers)
     mean = x_train.mean(axis=0, dtype=np.float64)
-    block = np.zeros((min(SUM_BLOCK_ROWS, len(x_train)) + 1, x_train.shape[1]))
-    total = block[0].copy()
+    block = np.empty((min(SUM_BLOCK_ROWS, len(x_train)) + 1, x_train.shape[1]))
+    total = np.zeros(x_train.shape[1])
     for start in range(0, len(x_train), SUM_BLOCK_ROWS):
         rows = x_train[start:start + SUM_BLOCK_ROWS]
         block[0] = total
