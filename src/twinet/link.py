@@ -248,7 +248,7 @@ class LinkEndpoint:
         return None
 
     def drop(self, envelope: MessageEnvelope, exc: Exception) -> None:
-        """Log and count an envelope whose payload cannot be decoded or served."""
+        """Log and count an envelope whose payload cannot be decoded."""
         self.decode_errors += 1
         log.warning("dropped malformed %s on %s (%d B): %r", envelope.kind,
                     envelope.topic, len(envelope.payload), exc)

@@ -623,7 +623,7 @@ class ModelFactoryService(TwinService):
         try:
             model, timing = self.build_model(pilots, seed)
         except TrainingDivergedError as exc:  # a RuntimeError, which run lets through
-            self.link.drop(envelope, exc)
+            log.warning("dropped %s on %s: %s", envelope.kind, envelope.topic, exc)
             return
         self.last_timing = replace(timing, data_transfer_s=max(
             0.0, (envelope.recv_at - envelope.sent_at) / 1e6))
