@@ -7,9 +7,9 @@ synthesizes labelled spectrum frames, trains a fresh classifier for the
 relocated pilots, and ships it back over the link as a versioned binary
 artifact with a trailing checksum.
 
-Synthetic frame model: a per-subcarrier power template (noise floor on the
-guard bands, data power elsewhere, extra power on pilots) perturbed
-log-normally, with additive jammer power on the attacked pilot.
+Synthetic frame model, in float32: a per-subcarrier power template (noise
+floor on the guard bands, data power elsewhere, extra power on pilots, plus
+jammer power on the attacked pilot) perturbed log-normally by Box-Muller normals.
 """
 
 from __future__ import annotations
@@ -133,25 +133,41 @@ def data_band(n_subcarriers: int) -> tuple[int, int]:
     return guard, n_subcarriers - guard
 
 
-def base_template(config: PilotConfig) -> np.ndarray:
-    powers = np.full(config.n_subcarriers, NOISE_POWER)
+def frame_templates(config: PilotConfig) -> np.ndarray:
+    """Float32 power templates (n_pilots + 1, K); row p > 0 jams pilot p."""
+    powers = np.full((config.n_pilots + 1, config.n_subcarriers), NOISE_POWER, np.float32)
     lo, hi = data_band(config.n_subcarriers)
-    powers[lo:hi] = DATA_POWER
-    powers[list(config.pilot_indices)] = PILOT_POWER
+    powers[:, lo:hi] = DATA_POWER
+    powers[:, list(config.pilot_indices)] = PILOT_POWER
+    powers[range(1, config.n_pilots + 1), config.pilot_indices] += JAMMER_POWER
     return powers
+
+
+def standard_normals(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill the float32 (rows, K) ``out`` with standard normals (Box-Muller,
+    1958): each row takes 2h = 2 ceil(K/2) float32 uniforms u, radii
+    r = sqrt(-2 log1p(-u)) from the first h, angles 2 pi u from the last h,
+    and is [r cos, r sin][:K]; so a block draws what its rows draw one by one."""
+    k = out.shape[1]
+    half = -(-k // 2)
+    uniforms = rng.random((len(out), 2 * half), np.float32)
+    radii = np.sqrt(-2 * np.log1p(-uniforms[:, :half]))
+    angles = uniforms[:, half:] * np.float32(2 * np.pi)
+    np.multiply(radii, np.cos(angles), out=out[:, :half])
+    np.multiply(radii[:, :k - half], np.sin(angles[:, :k - half]), out=out[:, half:])
+    return out
 
 
 def generate_frame(config: PilotConfig, jam_class: int,
                    rng: np.random.Generator,
                    noise_sigma: float = LOG_NOISE_SIGMA) -> SpectrumFrame:
-    """One synthetic frame; jam_class p > 0 adds jammer power on pilot p."""
+    """One frame's float32 powers, held in float64; class p > 0 jams pilot p."""
     if not 0 <= jam_class <= config.n_pilots:
         raise ValueError(f"jam_class out of range: {jam_class}")
-    powers = base_template(config).copy()
-    if jam_class > 0:
-        powers[config.pilot_indices[jam_class - 1]] += JAMMER_POWER
-    perturbation = np.exp(rng.normal(0.0, noise_sigma, config.n_subcarriers))
-    return SpectrumFrame(powers * perturbation, jam_class)
+    powers = frame_templates(config)[jam_class]
+    noise = standard_normals(rng, np.empty((1, config.n_subcarriers), np.float32))
+    powers *= np.exp(noise[0] * np.float32(noise_sigma))
+    return SpectrumFrame(powers.astype(np.float64), jam_class)
 
 
 @dataclass(frozen=True)
@@ -174,9 +190,9 @@ def _balanced_labels(n: int, n_classes: int, rng: np.random.Generator) -> np.nda
 def generate_labeled_frames(config: PilotConfig, n: int, rng: np.random.Generator,
                             out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Class-balanced float32 raw powers (n, K), into ``out`` if given, and
-    labels (n,): ``generate_frame``'s float64 powers over the shuffled labels,
-    each rounded once. One float64 block draws ``SUM_BLOCK_ROWS`` rows at a
-    time, the same stream, row by row, as n draws of K, and computes them."""
+    labels (n,): ``generate_frame``'s powers over the shuffled labels, bit for
+    bit. ``SUM_BLOCK_ROWS`` rows at a time are drawn, scaled, exponentiated
+    and multiplied by the template in float32 in ``out`` itself."""
     if n < 1:
         raise ValueError(f"need at least one frame, got n={n}")
     shape = (n, config.n_subcarriers)
@@ -184,17 +200,13 @@ def generate_labeled_frames(config: PilotConfig, n: int, rng: np.random.Generato
     if out.shape != shape or out.dtype != np.float32:
         raise ValueError(f"out must be float32 {shape}, got {out.dtype} {out.shape}")
     labels = _balanced_labels(n, config.n_pilots + 1, rng)
-    template, pilot_at = base_template(config), np.asarray(config.pilot_indices)
-    block = np.empty((min(SUM_BLOCK_ROWS, n), config.n_subcarriers))
+    templates = frame_templates(config)
     for start in range(0, n, SUM_BLOCK_ROWS):
         block_labels = labels[start:start + SUM_BLOCK_ROWS]
-        powers = rng.standard_normal(out=block[:len(block_labels)])
-        powers *= LOG_NOISE_SIGMA  # normal(0, sigma) draws sigma * z
+        powers = standard_normals(rng, out[start:start + len(block_labels)])
+        powers *= LOG_NOISE_SIGMA  # generate_frame's noise_sigma * z
         np.exp(powers, out=powers)
-        jammed = np.flatnonzero(block_labels)
-        pilots = pilot_at[block_labels[jammed] - 1]
-        rows = np.multiply(powers, template, out=out[start:start + len(powers)])
-        rows[jammed, pilots] = powers[jammed, pilots] * (PILOT_POWER + JAMMER_POWER)
+        powers *= templates[block_labels]
     return out, labels
 
 
