@@ -67,8 +67,8 @@ class TestStandardNormals:
         assert z.dtype == np.float32
         assert abs(z.mean(dtype=np.float64)) < 0.005
         assert abs(z.var(dtype=np.float64) - 1.0) < 0.01
-        # u < 1 is a multiple of 2**-24, so the radius is at most this
         assert np.isfinite(z).all()
+        # u < 1 is a multiple of 2**-24, so the radius is at most this
         assert np.abs(z).max() <= np.sqrt(-2 * np.log(2.0**-24))
 
     @pytest.mark.parametrize("k", [128, 127, 1])
@@ -82,8 +82,8 @@ class TestStandardNormals:
 
 
 def reference_labeled_frames(config, n, rng):
-    """``generate_labeled_frames`` frame by frame in float64: the oracle whose
-    powers, rounded once to float32, the batched draw must match bit for bit."""
+    """``generate_labeled_frames`` frame by frame: the oracle whose float64
+    powers, each a float32 value, the batched draw must match bit for bit."""
     labels = pg._balanced_labels(n, config.n_pilots + 1, rng)
     powers = np.stack([
         pg.generate_frame(config, int(label), rng).powers for label in labels
@@ -101,6 +101,7 @@ class TestBatchedFrames:
         ref_powers, ref_labels = reference_labeled_frames(config, n, reference_rng)
         assert powers.shape == (n, config.n_subcarriers)
         assert powers.dtype == np.float32
+        assert np.array_equal(ref_powers.astype(np.float32), ref_powers)  # exact
         assert powers.tobytes() == ref_powers.astype(np.float32).tobytes()
         assert np.array_equal(labels, ref_labels)
         assert batched_rng.bit_generator.state == reference_rng.bit_generator.state
