@@ -24,7 +24,9 @@ import threading
 import time
 from collections import deque
 
+from . import heap
 from .mqtt import (
+    MAX_FRAME_BYTES,
     ConnAck,
     Connect,
     Disconnect,
@@ -42,6 +44,10 @@ from .mqtt import (
 )
 
 log = logging.getLogger(__name__)
+
+# A message's frame-sized blocks come from the heap and go back to it, so the
+# pages they fill stay faulted in from one message to the next.
+heap.keep_freed_heap(2 * MAX_FRAME_BYTES)
 
 
 class BrokerUnreachableError(ConnectionError):
@@ -70,14 +76,19 @@ def _peer_ended(sock: socket.socket) -> bool:
 
 
 class MqttClient:
-    def __init__(self, client_id: str, host: str, port: int):
+    """``prefix_size`` bytes at the front of each received PUBLISH payload are
+    split off into the ``prefix`` that ``poll`` hands out beside it, as
+    ``publish`` sends a ``prefix`` before its payload."""
+
+    def __init__(self, client_id: str, host: str, port: int, prefix_size: int = 0):
         self.client_id = client_id
         self.host = host
         self.port = port
+        self.prefix_size = prefix_size
         self._sock: socket.socket | None = None
         self._reader: FrameReader | None = None
-        # received (topic, payload, recv_ns), in arrival order, not yet polled
-        self._received: deque[tuple[str, memoryview, int]] = deque()
+        # received (topic, payload, recv_ns, prefix), in arrival order, not yet polled
+        self._received: deque[tuple[str, bytes, int, bytes]] = deque()
         # ids of QoS-1 publishes read on this connection and not yet acked
         self._acks: list[int] = []
         self._reads = 0  # packets read: a poll's wait saw data no call has read
@@ -108,10 +119,11 @@ class MqttClient:
 
     def _connect_once(self) -> None:
         sock = socket.create_connection((self.host, self.port), timeout=5.0)
-        # Unbuffered, so select sees every byte not yet read. A read starts
-        # once select saw a byte, so the kernel's receive timeout set below,
-        # which costs no call per frame, holds up only a peer stalled mid-frame.
-        reader = FrameReader(sock.makefile("rb", buffering=0))
+        # Unbuffered, so select sees every byte not yet read, and a large
+        # payload can be read from the socket itself. A read starts once
+        # select saw a byte, so the kernel's receive timeout set below, which
+        # costs no call per frame, holds up only a peer stalled mid-frame.
+        reader = FrameReader(sock.makefile("rb", buffering=0), self.prefix_size, sock)
         try:  # a peer that accepts and never answers must not block for ever
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             sock.settimeout(ACK_TIMEOUT_S)
@@ -182,7 +194,8 @@ class MqttClient:
     def _read(self, deadline: float, ready: bool = False):
         """Next packet, or None if none starts before ``deadline`` (monotonic);
         ``ready`` says that one has begun arriving. A PUBLISH is stamped, put
-        on the deque and, at QoS 1, its PUBACK queued."""
+        on the deque with its payload as ``bytes`` (a copy only of a payload
+        read into the reader's buffer) and, at QoS 1, its PUBACK queued."""
         if self._sock is None:
             raise ConnectionError("not connected")
         try:
@@ -200,7 +213,8 @@ class MqttClient:
             recv_ns = time.time_ns()  # when read, before this client's ack
             if packet.qos == 1:
                 self._acks.append(packet.packet_id)
-            self._received.append((packet.topic, packet.payload, recv_ns))
+            self._received.append((packet.topic, bytes(packet.payload), recv_ns,
+                                   packet.prefix))
         return packet
 
     def _wait_ack(self, kind, packet_id: int | None = None):
@@ -261,10 +275,13 @@ class MqttClient:
             self._send(PingReq())
             self._wait_ack(PingResp)
 
-    def poll(self, timeout: float = 0.0) -> tuple[str, memoryview, int] | None:
-        """Next received (topic, payload, recv_ns) in arrival order, or None
-        after ``timeout`` s. The payload is a read-only view of the received
-        frame, not a copy.
+    def poll(self, timeout: float = 0.0) -> tuple[str, bytes, int, bytes] | None:
+        """Next received (topic, payload, recv_ns, prefix) in arrival order,
+        or None after ``timeout`` s. The payload is ``bytes`` of its own: a
+        large one (``SPLIT_READ_BYTES``) was received straight into it, so it
+        was copied once, from the kernel; a smaller one was copied out of
+        the reader's buffer. The prefix is the payload's first
+        ``prefix_size`` bytes, split off.
 
         It reads under the lock whatever has arrived, and waits for more
         outside it, so a call from another thread can publish meanwhile. One

@@ -1,23 +1,23 @@
 """Timestamped message envelopes over the broker, plus the payload-size
 latency benchmark.
 
-An envelope is a fixed big-endian ``struct`` header, then the UTF-8 topic,
-then the raw payload, so a message's wire size is the payload + 22 B + the
-topic + the MQTT header:
+An envelope is a fixed 20 B big-endian ``struct`` header, then the raw
+payload. Its topic is the MQTT PUBLISH's own, so a message's wire size is
+the payload + 20 B + the MQTT header:
 
 | offset | size | field |
 | --- | --- | --- |
 | 0 | 2 | magic ``b"TW"`` |
-| 2 | 1 | version (1) |
+| 2 | 1 | version (2) |
 | 3 | 1 | kind, an index into ``KINDS`` |
 | 4 | 8 | seq, u64 |
 | 12 | 8 | sent_at, u64 microseconds since the unix epoch |
-| 20 | 2 | topic length in bytes, u16 |
-| 22 | n | topic, UTF-8 |
-| 22 + n | rest | payload |
+| 20 | rest | payload |
 
-The sender puts the header and topic in the MQTT frame's head and writes
-the payload after them as the caller's own object, so it copies no payload.
+The sender puts the header in the MQTT frame's head and writes the payload
+after it as the caller's own object; the receiving client splits the header
+off as the PUBLISH's prefix and hands the payload over as the ``bytes`` it
+was received into. Neither side copies it on the way.
 
 Canonical topic namespace: rw/traffic, rw/request, dt/eval/result,
 dt/model/request, dt/model/artifact, bench/ping/<dir>, bench/pong/<dir>.
@@ -84,18 +84,17 @@ BENCH_RETAKES = 5
 BENCH_CSV_SCHEMA = ["size_bytes", "direction", "mean_ms", "p50_ms", "p99_ms", "n"]
 
 ENVELOPE_MAGIC = b"TW"
-ENVELOPE_VERSION = 1
-_HEADER = struct.Struct(">2sBBQQH")  # magic, version, kind, seq, sent_at, topic length
+ENVELOPE_VERSION = 2
+_HEADER = struct.Struct(">2sBBQQ")  # magic, version, kind, seq, sent_at
 
 
 def max_payload_bytes(topic: str) -> int:
     """Largest envelope payload whose QoS-1 frame on ``topic`` fits
     MAX_FRAME_BYTES: the frame adds a fixed header with a 4 B remaining
     length, the topic with its 2 B length, a 2 B packet id, and the envelope
-    header and topic."""
-    topic_bytes = len(topic.encode("utf-8"))
-    return (MAX_FRAME_BYTES - (1 + 4) - (2 + topic_bytes) - 2
-            - (_HEADER.size + topic_bytes))
+    header."""
+    return (MAX_FRAME_BYTES - (1 + 4) - (2 + len(topic.encode("utf-8"))) - 2
+            - _HEADER.size)
 
 
 BENCH_MAX_SIZE = max_payload_bytes("bench/ping/rw2dt")  # and bench/ping/dt2rw
@@ -120,24 +119,24 @@ class MessageEnvelope:
 
 
 def encode_envelope(envelope: MessageEnvelope) -> tuple[bytes, bytes]:
-    """Encode an envelope as ``(head, payload)``: the header and topic, and
-    the envelope's own payload object, not a copy. Its wire bytes are
-    ``head + payload``; ``LinkEndpoint`` sends the head inside the MQTT
-    frame's head, so the payload reaches the socket without being joined."""
+    """Encode an envelope as ``(head, payload)``: the 20 B header, and the
+    envelope's own payload object, not a copy. ``LinkEndpoint`` sends them
+    as one PUBLISH on the envelope's topic, the head inside the frame's
+    head, so the payload reaches the socket without being joined."""
     try:
-        topic = envelope.topic.encode("utf-8")
-        header = _HEADER.pack(ENVELOPE_MAGIC, ENVELOPE_VERSION,
-                              KINDS.index(envelope.kind), envelope.seq,
-                              envelope.sent_at, len(topic))
+        head = _HEADER.pack(ENVELOPE_MAGIC, ENVELOPE_VERSION,
+                            KINDS.index(envelope.kind), envelope.seq,
+                            envelope.sent_at)
     except (struct.error, ValueError) as exc:
         raise EnvelopeError(f"envelope does not fit the header: {exc}") from exc
-    return header + topic, envelope.payload
+    return head, envelope.payload
 
 
-def decode_envelope(data: bytes | memoryview) -> MessageEnvelope:
-    """Decode an envelope; its payload is copied out of ``data`` as ``bytes``."""
+def decode_envelope(topic: str, head: bytes, payload: bytes) -> MessageEnvelope:
+    """Decode the envelope that arrived on ``topic`` from its 20 B ``head``
+    and its ``payload``, which the envelope keeps as it is."""
     try:
-        magic, version, kind, seq, sent_at, topic_len = _HEADER.unpack_from(data)
+        magic, version, kind, seq, sent_at = _HEADER.unpack(head)
     except struct.error as exc:
         raise EnvelopeError(f"envelope header truncated: {exc}") from exc
     if magic != ENVELOPE_MAGIC:
@@ -146,15 +145,8 @@ def decode_envelope(data: bytes | memoryview) -> MessageEnvelope:
         raise EnvelopeError(f"unsupported envelope version {version}")
     if kind >= len(KINDS):
         raise EnvelopeError(f"envelope kind index {kind} out of range")
-    end = _HEADER.size + topic_len
-    if len(data) < end:
-        raise EnvelopeError("envelope topic truncated")
-    try:
-        topic = str(data[_HEADER.size : end], "utf-8")
-    except UnicodeDecodeError as exc:
-        raise EnvelopeError(f"envelope topic is not UTF-8: {exc}") from exc
     return MessageEnvelope(topic=topic, seq=seq, sent_at=sent_at,
-                           kind=KINDS[kind], payload=bytes(data[end:]))
+                           kind=KINDS[kind], payload=payload)
 
 
 def unpack_payload(header: str, payload: bytes) -> tuple:
@@ -180,7 +172,7 @@ class LinkEndpoint:
     """
 
     def __init__(self, client_id: str, host: str, port: int, qos: int = 1):
-        self.client = MqttClient(client_id, host, port)
+        self.client = MqttClient(client_id, host, port, prefix_size=_HEADER.size)
         self.qos = qos
         self._seq_lock = threading.Lock()
         self._next_seq: dict[str, int] = {}
@@ -228,13 +220,13 @@ class LinkEndpoint:
             raise EnvelopeError(f"unknown envelope kind: {kind!r}")
         deadline = time.monotonic() + timeout
         while (item := self.client.poll(timeout)) is not None:
-            topic, payload, recv_ns = item
+            topic, payload, recv_ns, head = item
             try:
-                envelope = decode_envelope(payload)
+                envelope = decode_envelope(topic, head, payload)
             except EnvelopeError as exc:
                 self.decode_errors += 1
                 log.warning("dropped malformed envelope on %s (%d B): %s",
-                            topic, len(payload), exc)
+                            topic, len(head) + len(payload), exc)
             else:
                 envelope.recv_at = recv_ns // 1_000
                 key = (envelope.kind, envelope.topic)

@@ -40,6 +40,11 @@ MAX_REMAINING_LENGTH = 268_435_455
 # Largest whole frame (fixed header included) either side sends or accepts. The
 # varint allows 256 MB, and a reader allocates a frame's buffer from its header.
 MAX_FRAME_BYTES = 16 * 1024 * 1024
+# Longest PUBLISH frame that a reader with a socket reads whole into its
+# buffer; a longer one reads its payload apart (FrameReader). Over loopback,
+# the client's part of a hop took 0-7 us longer read apart up to 128 KiB, and
+# 4-8 us, 12-20 us and 100 us less at 256 KiB, 320 KiB and 1 MB.
+SPLIT_READ_BYTES = 256 * 1024
 
 _TYPE_CONNECT = 1
 _TYPE_CONNACK = 2
@@ -159,9 +164,13 @@ def encode_packet(packet: ControlPacket) -> list:
     return [head, payload] if isinstance(packet, Publish) else [head]
 
 
-def decode_packet(frame: bytes | bytearray) -> ControlPacket:
-    """Decode one complete frame. A publish payload is a read-only view of
-    ``frame``, not a copy."""
+def decode_packet(frame: bytes | bytearray | memoryview, prefix_size: int = 0,
+                  payload: bytes | None = None) -> ControlPacket:
+    """Decode one complete frame. A PUBLISH's first ``prefix_size`` payload
+    bytes become its ``prefix``, as ``bytes``, and the rest its payload: a
+    read-only view of ``frame``, not a copy. For a frame whose payload was
+    read apart, ``frame`` holds what comes before it and ``payload`` the
+    payload itself, which the packet keeps as it is."""
     if not frame:
         raise TruncatedFrameError("empty input")
     header = frame[0]
@@ -169,14 +178,36 @@ def decode_packet(frame: bytes | bytearray) -> ControlPacket:
     flags = header & 0x0F
     remaining, consumed = decode_remaining_length(frame, 1)
     body = memoryview(frame)[1 + consumed :]
-    if len(body) != remaining:
+    if len(body) + (0 if payload is None else len(payload)) != remaining:
         raise LengthMismatchError(
             f"declared {remaining} body bytes, got {len(body)}"
         )
-    return _decode_body(ptype, flags, body)
+    if ptype == _TYPE_PUBLISH:
+        return _decode_publish(flags, body, prefix_size, payload)
+    return _decode_body(ptype, body)
 
 
-def _decode_body(ptype: int, flags: int, body: memoryview) -> ControlPacket:
+def _decode_publish(flags: int, body: memoryview, prefix_size: int,
+                    payload: bytes | None) -> Publish:
+    qos = (flags >> 1) & 0x03
+    if qos not in (0, 1):
+        raise UnknownPacketTypeError(f"unsupported publish qos {qos}")
+    topic, offset = _decode_string(body, 0)
+    validate_topic(topic)
+    packet_id = None
+    if qos == 1:
+        if offset + 2 > len(body):
+            raise TruncatedFrameError("publish packet id truncated")
+        (packet_id,) = struct.unpack_from(">H", body, offset)
+        offset += 2
+    end = offset + prefix_size
+    prefix = bytes(body[offset:end]) if prefix_size else b""
+    if payload is None:
+        payload = body[end:].toreadonly()
+    return Publish(topic, payload, qos, packet_id, prefix)
+
+
+def _decode_body(ptype: int, body: memoryview) -> ControlPacket:
     if ptype == _TYPE_CONNECT:
         offset = len(_PROTOCOL_NAME) + 2 + 2
         if len(body) < offset or body[: len(_PROTOCOL_NAME)] != _PROTOCOL_NAME:
@@ -189,19 +220,6 @@ def _decode_body(ptype: int, flags: int, body: memoryview) -> ControlPacket:
         if len(body) != 2:
             raise LengthMismatchError("connack body must be 2 bytes")
         return ConnAck(body[1])
-    if ptype == _TYPE_PUBLISH:
-        qos = (flags >> 1) & 0x03
-        if qos not in (0, 1):
-            raise UnknownPacketTypeError(f"unsupported publish qos {qos}")
-        topic, offset = _decode_string(body, 0)
-        validate_topic(topic)
-        packet_id = None
-        if qos == 1:
-            if offset + 2 > len(body):
-                raise TruncatedFrameError("publish packet id truncated")
-            (packet_id,) = struct.unpack_from(">H", body, offset)
-            offset += 2
-        return Publish(topic, body[offset:].toreadonly(), qos, packet_id)
     if ptype == _TYPE_PUBACK:
         if len(body) != 2:
             raise LengthMismatchError("puback body must be 2 bytes")
@@ -235,18 +253,28 @@ def _decode_body(ptype: int, flags: int, body: memoryview) -> ControlPacket:
 
 
 class FrameReader:
-    """Reads framed packets from one blocking byte stream.
+    """Reads framed packets from one blocking byte stream into one buffer.
 
-    Each frame goes into the reader's buffer whenever nothing views that
-    buffer any more, so a connection that carries large messages fills the
-    same memory again instead of faulting in fresh pages for every frame.
-    A publish payload is a view of the buffer: while one is alive, the next
-    frame goes into a new buffer, which the reader keeps from then on, and
-    the kept view's bytes never change.
+    Every frame goes into the reader's buffer, grown once a frame does not
+    fit, so a connection that carries large messages fills the same memory
+    again instead of faulting in fresh pages for every frame. A packet read
+    from it views that buffer, and the next read overwrites it: a caller
+    that keeps a payload past the next read keeps a copy.
+
+    ``prefix_size`` splits that many bytes off the front of each PUBLISH
+    payload into the packet's ``prefix`` (``decode_packet``). Given ``sock``,
+    the socket under an unbuffered ``stream``, a PUBLISH frame longer than
+    ``SPLIT_READ_BYTES`` reads what comes before its payload into the
+    buffer, and its payload with one ``recv`` into a ``bytes`` of its own:
+    the one copy a large payload costs on the way in, and one a caller may
+    keep.
     """
 
-    def __init__(self, stream: BinaryIO):
+    def __init__(self, stream: BinaryIO, prefix_size: int = 0,
+                 sock: socket.socket | None = None):
         self.stream = stream
+        self.prefix_size = prefix_size
+        self.sock = sock
         self._frame = bytearray()
 
     def read_packet(self) -> ControlPacket | None:
@@ -276,17 +304,55 @@ class FrameReader:
         if size > MAX_FRAME_BYTES:
             raise FrameTooLargeError(f"header declares a {size} B frame, "
                                      f"over MAX_FRAME_BYTES ({MAX_FRAME_BYTES})")
-        if len(self._frame) < size or _viewed(self._frame):
+        if (self.sock is not None and size > SPLIT_READ_BYTES
+                and head[0] >> 4 == _TYPE_PUBLISH):
+            return self._read_split(head, size)
+        if len(self._frame) < size:
             self._frame = bytearray(size)
-        with memoryview(self._frame) as view:
-            view[: len(head)] = head
-            filled = len(head)
-            while filled < size:
-                count = stream.readinto(view[filled:size])
-                if not count:
-                    raise _cut_short(count, "packet body")
-                filled += count
-            return decode_packet(view[:size])
+        view = memoryview(self._frame)[:size]
+        view[: len(head)] = head
+        self._fill(view, len(head), "packet body")
+        return decode_packet(view, self.prefix_size)
+
+    def _read_split(self, head: bytearray, size: int) -> Publish:
+        """A PUBLISH whose payload goes straight into a ``bytes`` of its own.
+        What comes before it goes into the buffer: the topic's length, then
+        the topic, the packet id and the prefix."""
+        start = len(head) + 2
+        most = min(size, start + 0xFFFF + 2 + self.prefix_size)
+        if len(self._frame) < most:
+            self._frame = bytearray(most)
+        view = memoryview(self._frame)
+        view[: len(head)] = head
+        self._fill(view[:start], len(head), "publish topic length")
+        topic_length = view[start - 2] << 8 | view[start - 1]
+        packet_id = 2 if head[0] & 0x06 else 0  # QoS 1; decode_packet checks it
+        before = min(size, start + topic_length + packet_id + self.prefix_size)
+        self._fill(view[:before], start, "publish variable header")
+        return decode_packet(view[:before], self.prefix_size,
+                             self._recv_payload(size - before))
+
+    def _recv_payload(self, n: int) -> bytes:
+        try:
+            payload = self.sock.recv(n, socket.MSG_WAITALL)
+        except BlockingIOError:  # the receive timeout passed before any byte
+            raise _cut_short(None, "publish payload") from None
+        if len(payload) < n:
+            # cut short by EOF, by the receive timeout or by a signal: read the
+            # rest under the usual rule, each read waiting for its own bytes
+            rest = bytearray(n)
+            rest[: len(payload)] = payload
+            self._fill(memoryview(rest), len(payload), "publish payload")
+            payload = bytes(rest)
+        return payload
+
+    def _fill(self, view: memoryview, filled: int, where: str) -> None:
+        """Read into ``view`` from ``filled`` on until it is full."""
+        while filled < len(view):
+            count = self.stream.readinto(view[filled:])
+            if not count:
+                raise _cut_short(count, where)
+            filled += count
 
 
 def _cut_short(chunk: bytes | int | None, where: str) -> CodecError:
@@ -296,19 +362,6 @@ def _cut_short(chunk: bytes | int | None, where: str) -> CodecError:
         return StalledFrameError(
             f"peer stopped mid-frame: read timed out inside {where}")
     return TruncatedFrameError(f"EOF inside {where}")
-
-
-def _viewed(buffer: bytearray) -> bool:
-    """True while a memoryview of the non-empty ``buffer`` is alive: a
-    bytearray refuses to change size while it has one. Shrinking by one byte
-    and then restoring it never reallocates. Growing first would reallocate
-    each buffer once, and that alone left 1 MB messages faulting their pages
-    in afresh on every read."""
-    try:
-        buffer.append(buffer.pop())
-    except BufferError:
-        return True
-    return False
 
 
 def read_packet(stream: BinaryIO) -> ControlPacket | None:

@@ -14,7 +14,6 @@ jammer power on the attacked pilot) perturbed log-normally by Box-Muller normals
 
 from __future__ import annotations
 
-import ctypes
 import logging
 import struct
 import threading
@@ -32,6 +31,7 @@ from .link import (
     MessageEnvelope,
     TwinService,
 )
+from .heap import release_free_heap
 from .seeds import derive_seed
 
 log = logging.getLogger(__name__)
@@ -562,20 +562,6 @@ def decode_model_request(payload: bytes) -> tuple[PilotConfig, int]:
     return PilotConfig(k, pilot_indices, label), seed
 
 
-try:
-    _malloc_trim = ctypes.CDLL(None).malloc_trim
-    _malloc_trim.argtypes = [ctypes.c_size_t]
-except (AttributeError, OSError, TypeError):  # not glibc
-    _malloc_trim = None
-
-
-def _release_free_heap() -> None:
-    """Hand the free pages of every malloc arena back to the OS, wherever a
-    free block lies (glibc's ``malloc_trim(0)``; a no-op elsewhere)."""
-    if _malloc_trim is not None:
-        _malloc_trim(0)
-
-
 class ModelFactoryService(TwinService):
     """Twin-side factory: synthesizes data and trains a model on request."""
 
@@ -624,7 +610,7 @@ class ModelFactoryService(TwinService):
         t3 = time.perf_counter()
         self.last_accuracies = (accuracy(model, x_train, y_train),
                                 accuracy(model, x_test, y_test))
-        _release_free_heap()
+        release_free_heap()
         return model, RedeployTiming(
             data_transfer_s=0.0, data_collection_s=t1 - t0,
             data_processing_s=t2 - t1, model_creation_s=t3 - t2,

@@ -4,6 +4,7 @@ import socket
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -12,9 +13,10 @@ from twinet import client as client_mod
 from twinet.broker import Broker
 from twinet.client import BrokerUnreachableError, MqttClient
 from twinet.link import LinkEndpoint
-from twinet.mqtt import (ConnAck, Connect, PubAck, Publish, SubAck, Subscribe,
-                         TopicFilter, encode_packet, encode_remaining_length,
-                         read_packet, topic_matches, validate_filter)
+from twinet.mqtt import (MAX_FRAME_BYTES, SPLIT_READ_BYTES, ConnAck, Connect,
+                         PubAck, Publish, SubAck, Subscribe, TopicFilter,
+                         encode_packet, encode_remaining_length, read_packet,
+                         topic_matches, validate_filter)
 
 
 def make_client(broker, name):
@@ -145,7 +147,7 @@ class TestRouting:
         sub.subscribe("twin/#", 0)
         pub = make_client(broker, "pub")
         pub.publish("twin/state", b"hello")
-        topic, payload, _ = sub.poll(timeout=2.0)
+        topic, payload, _, _ = sub.poll(timeout=2.0)
         assert (topic, payload) == ("twin/state", b"hello")
         assert sub.poll(timeout=0.2) is None
         sub.close(); pub.close()
@@ -173,7 +175,7 @@ class TestRouting:
         for i in range(count):
             pub.publish("seq/t", str(i).encode(), qos=1)
         got = [sub.poll(timeout=2.0) for _ in range(count)]
-        assert [int(p) for _, p, _ in got] == list(range(count))
+        assert [int(p) for _, p, _, _ in got] == list(range(count))
         sub.close(); pub.close()
 
     def test_random_topologies_against_naive_matcher(self, broker):
@@ -504,6 +506,73 @@ class TestDeadConnection:
         peer.join(timeout=2.0)
         assert not peer.is_alive()
         listener.close()
+
+    @pytest.mark.parametrize("ending, message", [
+        ("stall", "peer stopped mid-frame"), ("eof", "EOF inside publish payload")])
+    def test_peer_that_ends_mid_payload_ends_the_connection(self, monkeypatch,
+                                                            ending, message):
+        # a frame whose payload is read apart, cut off inside that payload
+        monkeypatch.setattr(client_mod, "ACK_TIMEOUT_S", 0.3)
+        listener = socket.create_server(("127.0.0.1", 0))
+        done = threading.Event()
+
+        def serve_part_of_a_payload():
+            sock, _ = listener.accept()
+            with sock, sock.makefile("rb") as stream:
+                read_packet(stream)
+                frame = b"".join(encode_packet(Publish("t", bytes(2 * SPLIT_READ_BYTES))))
+                sock.sendall(b"".join(encode_packet(ConnAck(0)))
+                             + frame[:SPLIT_READ_BYTES])
+                if ending == "eof":
+                    sock.shutdown(socket.SHUT_WR)
+                done.wait(5.0)
+
+        peer = threading.Thread(target=serve_part_of_a_payload, daemon=True)
+        peer.start()
+        client = MqttClient("c", *listener.getsockname())
+        client.connect()
+        start = time.monotonic()
+        with pytest.raises(ConnectionError, match=message):
+            within(3.0, lambda: client.poll(timeout=1.0))
+        elapsed = time.monotonic() - start
+        client.close()
+        done.set()
+        peer.join(timeout=2.0)
+        assert not peer.is_alive()
+        listener.close()
+        # one receive timeout for the read that waits for the whole payload,
+        # and one for the read of what it left
+        assert elapsed < 2 * 0.3 + 0.3
+
+    def test_header_over_max_frame_ends_the_connection_before_allocating(self):
+        listener = socket.create_server(("127.0.0.1", 0))
+        done = threading.Event()
+
+        def serve_a_huge_header():
+            sock, _ = listener.accept()
+            with sock, sock.makefile("rb") as stream:
+                read_packet(stream)
+                sock.sendall(b"".join(encode_packet(ConnAck(0))) + b"\x30"
+                             + encode_remaining_length(MAX_FRAME_BYTES) + b"\x00\x01t")
+                done.wait(5.0)
+
+        peer = threading.Thread(target=serve_a_huge_header, daemon=True)
+        peer.start()
+        client = MqttClient("c", *listener.getsockname())
+        client.connect()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConnectionError, match="MAX_FRAME_BYTES"):
+                within(3.0, lambda: client.poll(timeout=1.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        client.close()
+        done.set()
+        peer.join(timeout=2.0)
+        assert not peer.is_alive()
+        listener.close()
+        assert peak < 1 << 20  # no frame-sized buffer was allocated
 
     def test_pending_ack_fails_when_connection_drops(self):
         # a peer that accepts the session, then hangs up on the first publish

@@ -22,13 +22,13 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
 
 from twinet.broker import Broker
 from twinet.client import MqttClient
-from twinet.mqtt import PubAck
+from twinet.mqtt import SPLIT_READ_BYTES, PubAck
 
 SLOTS = 4  # at most four clients: the broker starts a thread per connection
 TOPICS = ("a", "a/b", "b", "b/a", "$SYS/a")
 FILTERS = ("a", "a/b", "a/+", "+", "+/a", "a/#", "#", "$SYS/#", "$SYS/+")
-# 100 kB lies above the size from which the client reads a payload apart
-SIZES = (0, 7, 1_000, 100_000)
+# the last lies above the size from which the client reads a payload apart
+SIZES = (0, 7, 1_000, SPLIT_READ_BYTES)
 # how long a poll waits for a message the model expects
 POLL_TIMEOUT_S = 5.0
 

@@ -18,7 +18,8 @@ from twinet.link import (
 )
 from twinet import client as client_mod
 from twinet.client import BrokerUnreachableError
-from twinet.mqtt import MAX_FRAME_BYTES, Publish, encode_packet
+from twinet.mqtt import (MAX_FRAME_BYTES, BadTopicError, Publish, decode_packet,
+                         encode_packet)
 
 
 def envelopes():
@@ -35,9 +36,9 @@ def envelopes():
     )
 
 
-def header(magic=b"TW", version=1, kind=5, seq=0, sent_at=1, topic_len=1):
+def header(magic=b"TW", version=2, kind=5, seq=0, sent_at=1):
     return (magic + bytes([version, kind]) + seq.to_bytes(8, "big")
-            + sent_at.to_bytes(8, "big") + topic_len.to_bytes(2, "big"))
+            + sent_at.to_bytes(8, "big"))
 
 
 class TestEnvelopeCodec:
@@ -46,68 +47,76 @@ class TestEnvelopeCodec:
         head, payload = encode_envelope(env)
         assert payload is env.payload  # sent as it is, never joined to the head
         assert head + payload == (
-            b"TW\x01\x02"                          # magic, version, kind index
+            b"TW\x02\x02"                          # magic, version, kind index
             b"\x00\x00\x00\x00\x00\x00\x01\x02"  # seq u64
             b"\x00\x00\x01\x00\x00\x00\x00\x03"  # sent_at u64
-            b"\x00\x03t/x"                         # topic length u16, topic
             b"hi"                                  # raw payload
         )
 
     def test_wire_size_is_payload_plus_header_and_topic(self):
+        # the topic travels once, in the PUBLISH: 1 B type, 1-2 B remaining
+        # length, the topic with its 2 B length, the 2 B packet id
         for size in (0, 1, 1000):
             env = MessageEnvelope("rw/traffic", 0, 1, "BenchPing", b"x" * size)
-            assert sum(map(len, encode_envelope(env))) == size + 22 + len("rw/traffic")
+            head, payload = encode_envelope(env)
+            assert len(head) + len(payload) == size + 20
+            frame = b"".join(encode_packet(Publish(env.topic, payload, 1, 1, head)))
+            length_bytes = 1 if size + 20 + 14 < 128 else 2
+            assert len(frame) == size + 20 + 1 + length_bytes + 2 + len("rw/traffic") + 2
 
     @given(envelopes())
     def test_round_trip(self, env):
-        assert decode_envelope(b"".join(encode_envelope(env))) == env
+        assert decode_envelope(env.topic, *encode_envelope(env)) == env
 
     @given(st.one_of(st.binary(max_size=64),
-                     st.binary(max_size=64).map(lambda tail: b"TW\x01" + tail)))
+                     st.binary(max_size=64).map(lambda tail: b"TW\x02" + tail)))
     def test_arbitrary_bytes_raise_only_envelope_error(self, data):
         try:
-            decode_envelope(data)
+            decode_envelope("t", data[:20], data[20:])
         except EnvelopeError:
             pass
 
     def test_short_header_rejected(self):
         with pytest.raises(EnvelopeError, match="header truncated"):
-            decode_envelope(header()[:21])
+            decode_envelope("t", header()[:19], b"")
 
     def test_bad_magic_rejected(self):
         with pytest.raises(EnvelopeError, match="magic"):
-            decode_envelope(header(magic=b"TX") + b"t")
+            decode_envelope("t", header(magic=b"TX"), b"p")
 
     def test_bad_version_rejected(self):
-        with pytest.raises(EnvelopeError, match="version"):
-            decode_envelope(header(version=2) + b"t")
+        # a version 1 envelope, whose header carried the topic
+        with pytest.raises(EnvelopeError, match="version 1"):
+            decode_envelope("t", header(version=1), b"\x00\x01tp")
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(EnvelopeError, match="kind index"):
-            decode_envelope(header(kind=7) + b"t")
+            decode_envelope("t", header(kind=7), b"p")
 
     def test_missing_key_rejected(self):
-        # the binary counterpart of a missing key: the topic is cut short
-        with pytest.raises(EnvelopeError, match="topic truncated"):
-            decode_envelope(header(topic_len=4) + b"t/x")
+        # the binary counterpart of a missing key: the header ends inside sent_at
+        with pytest.raises(EnvelopeError, match="header truncated"):
+            decode_envelope("t", header()[:15], b"")
 
     def test_non_utf8_topic_rejected(self):
-        with pytest.raises(EnvelopeError, match="UTF-8"):
-            decode_envelope(header(topic_len=2) + b"\xff\xfe")
+        # the envelope's topic is the PUBLISH's, which its decoder checks
+        frame = b"\x30\x05\x00\x02\xff\xfe" + b"p"
+        with pytest.raises(BadTopicError, match="UTF-8"):
+            decode_packet(frame, prefix_size=20)
 
     def test_bad_base64_rejected(self):
         # a legacy JSON envelope is not a binary envelope
+        data = (b'{"topic":"t","seq":0,"sent_at":1,'
+                b'"kind":"BenchPing","payload_b64":"@@"}')
         with pytest.raises(EnvelopeError):
-            decode_envelope(b'{"topic":"t","seq":0,"sent_at":1,'
-                            b'"kind":"BenchPing","payload_b64":"@@"}')
+            decode_envelope("t", data[:20], data[20:])
 
-    def test_decoding_a_view_copies_the_payload_out_as_bytes(self):
-        frame = bytearray(b"".join(encode_envelope(
-            MessageEnvelope("rw/traffic", 3, 5, "TrafficUpdate", b"rates"))))
-        env = decode_envelope(memoryview(frame).toreadonly())
-        assert type(env.payload) is bytes and env.payload == b"rates"
-        frame[-5:] = b"RATES"  # the frame's buffer is reused; the envelope keeps its copy
-        assert env.payload == b"rates"
+    def test_decoded_envelope_keeps_the_payload_it_was_given(self):
+        payload = b"rates"
+        env = decode_envelope("rw/traffic", header(kind=0, seq=3, sent_at=5), payload)
+        assert env.payload is payload
+        assert (env.topic, env.seq, env.sent_at, env.kind) == (
+            "rw/traffic", 3, 5, "TrafficUpdate")
 
     def test_largest_bench_payload_fills_one_frame(self):
         for topic in ("bench/ping/rw2dt", "bench/ping/dt2rw"):
@@ -125,10 +134,12 @@ class TestEnvelopeCodec:
         ("topic", "t" * 65_536), ("topic", "\udcff"), ("kind", "Bogus"),
     ])
     def test_out_of_range_field_rejected_on_encode(self, field, value):
+        # the topic is the PUBLISH's, so the MQTT encoder refuses a bad one
         env = MessageEnvelope("t", 0, 1, "BenchPing", b"")
         setattr(env, field, value)
-        with pytest.raises(EnvelopeError):
-            encode_envelope(env)
+        with pytest.raises(ValueError if field == "topic" else EnvelopeError):
+            head, payload = encode_envelope(env)
+            encode_packet(Publish(env.topic, payload, 1, 1, head))
 
 
 class TestLinkEndpoint:
@@ -208,6 +219,19 @@ class TestLinkEndpoint:
             assert env is not None and env.payload == b"ok"
             assert dt.decode_errors == 1
 
+    def test_version_1_envelope_dropped_and_counted(self, broker):
+        # the version 1 layout: a 22 B header ending in the topic length, then
+        # the topic, then the payload
+        v1 = header(version=1, kind=0) + b"\x00\x0arw/traffic" + b"\x00" * 8
+        with LinkEndpoint("rw", broker.host, broker.port) as rw, \
+             LinkEndpoint("dt", broker.host, broker.port) as dt:
+            dt.subscribe("rw/#")
+            rw.client.publish("rw/traffic", v1, qos=1)
+            rw.publish_envelope("rw/traffic", "TrafficUpdate", b"ok")
+            env = dt.poll_envelope(timeout=2.0)
+            assert env is not None and env.payload == b"ok"
+            assert dt.decode_errors == 1
+
     def test_broker_killed_surfaces_error(self, monkeypatch):
         from twinet.broker import Broker
         monkeypatch.setattr(client_mod, "CONNECT_RETRIES", 2)
@@ -224,15 +248,15 @@ class TestLinkEndpoint:
         assert time.monotonic() - start < 2.0
 
 
-# The envelope of an empty TrafficUpdate on rw/traffic, seq 0, sent_at 2**40 + 3.
-_TRAFFIC_ENVELOPE = (b"TW\x01\x00" + bytes(8) + b"\x00\x00\x01\x00\x00\x00\x00\x03"
-                     b"\x00\x0arw/traffic")
-# Whole frames by (qos, payload size), the payload being bytes(range(size)).
+# The envelope of an empty TrafficUpdate, seq 0, sent_at 2**40 + 3.
+_TRAFFIC_ENVELOPE = b"TW\x02\x00" + bytes(8) + b"\x00\x00\x01\x00\x00\x00\x00\x03"
+# Whole frames on rw/traffic by (qos, payload size), the payload being
+# bytes(range(size)).
 _GOLDEN_FRAMES = {
-    (0, 0): b"\x30\x2c\x00\x0arw/traffic" + _TRAFFIC_ENVELOPE,
-    (1, 0): b"\x32\x2e\x00\x0arw/traffic\x00\x01" + _TRAFFIC_ENVELOPE,
-    (0, 100): b"\x30\x90\x01\x00\x0arw/traffic" + _TRAFFIC_ENVELOPE + bytes(range(100)),
-    (1, 100): (b"\x32\x92\x01\x00\x0arw/traffic\x00\x01" + _TRAFFIC_ENVELOPE
+    (0, 0): b"\x30\x20\x00\x0arw/traffic" + _TRAFFIC_ENVELOPE,
+    (1, 0): b"\x32\x22\x00\x0arw/traffic\x00\x01" + _TRAFFIC_ENVELOPE,
+    (0, 100): b"\x30\x84\x01\x00\x0arw/traffic" + _TRAFFIC_ENVELOPE + bytes(range(100)),
+    (1, 100): (b"\x32\x86\x01\x00\x0arw/traffic\x00\x01" + _TRAFFIC_ENVELOPE
                + bytes(range(100))),
 }
 

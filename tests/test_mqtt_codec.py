@@ -1,11 +1,15 @@
 import io
 import random
+import socket
+import struct
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
 
 from twinet.mqtt import (
     MAX_FRAME_BYTES,
+    SPLIT_READ_BYTES,
     ConnAck,
     Connect,
     Disconnect,
@@ -32,8 +36,8 @@ from twinet.mqtt import (
 )
 
 MAX_REMAINING = 268_435_455
-# An envelope header and topic, as the link sends them in a publish's head.
-ENVELOPE_HEAD = b"TW\x01\x05" + bytes(16) + b"\x00\x10bench/ping/rw2dt"
+# An envelope header, as the link sends it in a publish's head.
+ENVELOPE_HEAD = b"TW\x02\x05" + bytes(16)
 
 
 class TestRemainingLength:
@@ -223,18 +227,86 @@ class TestReadPacket:
             read_packet(OneByteStream(header))
 
 
-    def test_reader_reuses_its_buffer_only_once_no_payload_views_it(self):
-        packets = [Publish("a/b", bytes([i]) * 300, qos=0) for i in range(4)]
+    def test_reader_reuses_its_buffer_for_every_frame(self):
+        packets = [Publish("a/b", bytes([i]) * 300, qos=0) for i in range(3)]
+        packets.append(Publish("a/b", b"\x03" * 600, qos=0))
         reader = FrameReader(OneByteStream(
             b"".join(b"".join(encode_packet(p)) for p in packets)))
-        kept = reader.read_packet().payload
-        buffer = reader.read_packet().payload.obj  # a new buffer: kept views the old
-        assert buffer is not kept.obj
-        third = reader.read_packet().payload  # nothing views the buffer: reused
-        assert third.obj is buffer
-        fourth = reader.read_packet().payload  # third views it: a new one again
-        assert fourth.obj is not buffer
-        assert (kept, third, fourth) == (b"\x00" * 300, b"\x02" * 300, b"\x03" * 300)
+        payloads = [reader.read_packet().payload for _ in range(3)]
+        assert payloads[0].obj is payloads[1].obj is payloads[2].obj
+        # each read overwrites the buffer: a caller that keeps a payload copies it
+        assert payloads[0] == b"\x02" * 300
+        grown = reader.read_packet().payload  # a larger frame: a larger buffer
+        assert grown.obj is not payloads[0].obj and grown == b"\x03" * 600
+
+    def test_prefix_is_split_off_as_bytes(self):
+        packet = Publish("a/b", b"payload", qos=1, packet_id=4, prefix=ENVELOPE_HEAD)
+        frame = b"".join(encode_packet(packet))
+        decoded = FrameReader(OneByteStream(frame), prefix_size=20).read_packet()
+        assert decoded == packet and type(decoded.prefix) is bytes
+        short = FrameReader(OneByteStream(b"".join(encode_packet(Publish("t", b"abc")))),
+                            prefix_size=20).read_packet()
+        assert (short.prefix, short.payload) == (b"abc", b"")
+
+
+def _socket_reader(prefix_size: int = 0):
+    """A reader on one end of a socket pair, as the client reads, and the
+    other end to write to."""
+    ours, theirs = socket.socketpair()
+    return FrameReader(ours.makefile("rb", buffering=0), prefix_size, ours), ours, theirs
+
+
+class TestSplitRead:
+    @pytest.mark.parametrize("size", [SPLIT_READ_BYTES - 100, SPLIT_READ_BYTES,
+                                      SPLIT_READ_BYTES + 1, 1_000_000])
+    @pytest.mark.parametrize("qos", [0, 1])
+    def test_payload_over_the_threshold_arrives_as_bytes_of_its_own(self, qos, size):
+        reader, ours, theirs = _socket_reader(prefix_size=20)
+        payload = random.Random(size).randbytes(size)
+        packet = Publish("bench/ping/rw2dt", payload, qos, 7 if qos else None,
+                         ENVELOPE_HEAD)
+        frame = encode_packet(packet)
+        with ours, theirs, reader.stream:
+            writer = threading.Thread(target=write_frame, args=(theirs, frame))
+            writer.start()
+            decoded = reader.read_packet()
+            writer.join(timeout=5.0)
+        assert not writer.is_alive()
+        assert decoded == packet and decoded.prefix == ENVELOPE_HEAD
+        frame_size = sum(map(len, frame))
+        split = frame_size > SPLIT_READ_BYTES
+        assert isinstance(decoded.payload, bytes if split else memoryview)
+
+    @pytest.mark.parametrize("cut, error", [
+        ("eof", TruncatedFrameError), ("stall", StalledFrameError)])
+    def test_payload_cut_short_raises_a_typed_error(self, cut, error):
+        reader, ours, theirs = _socket_reader()
+        ours.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO,
+                        struct.pack("ll", 0, 200_000))  # 0.2 s
+        frame = b"".join(encode_packet(Publish("t", bytes(2 * SPLIT_READ_BYTES))))
+
+        def send_part():
+            theirs.sendall(frame[:SPLIT_READ_BYTES])
+            if cut == "eof":
+                theirs.shutdown(socket.SHUT_WR)
+
+        with ours, theirs, reader.stream:
+            writer = threading.Thread(target=send_part)
+            writer.start()
+            with pytest.raises(error, match="publish payload"):
+                reader.read_packet()
+            writer.join(timeout=5.0)
+        assert not writer.is_alive()
+
+    def test_header_over_max_frame_raises_before_the_payload_is_received(self):
+        class Refusing:  # any recv reads the payload into a frame-sized buffer
+            def recv(self, *args):
+                raise AssertionError("recv called")
+
+        header = b"\x30" + encode_remaining_length(MAX_FRAME_BYTES)
+        reader = FrameReader(OneByteStream(header + b"\x00\x01t"), sock=Refusing())
+        with pytest.raises(FrameTooLargeError):
+            reader.read_packet()
 
 
 class TestFrameLimit:

@@ -39,11 +39,12 @@ def test_perfbench_imports_and_wraps_twinet(perfbench_path):
         tracer.uninstall()
 
 
-def test_wrapped_layers_see_the_publish_path(perfbench_path):
+def _traced_exchange(payload: bytes) -> Counter:
+    """Send ``payload`` once each way with the tracer installed; the spans
+    recorded, by (name, tag)."""
     import layers
     from spans import Tracer
 
-    payload = bytes(range(256)) * 40  # 10 240 B, the 10kB bucket
     tracer = Tracer()
     layers.install(tracer)
     try:
@@ -59,11 +60,26 @@ def test_wrapped_layers_see_the_publish_path(perfbench_path):
                 assert received is not None and received.payload == payload
     finally:
         tracer.uninstall()
-    spans = Counter((span.name, span.tag) for span in tracer.spans)
+    return Counter((span.name, span.tag) for span in tracer.spans)
+
+
+def _assert_publish_path(spans: Counter, bucket: str) -> None:
     # per message: the client's publish and the broker's forward
-    assert spans["mqtt.encode", "10kB"] >= 4
+    assert spans["mqtt.encode", bucket] >= 4
     # per message: the broker's receive and the subscriber's
-    assert spans["mqtt.decode", "10kB"] >= 4
+    assert spans["mqtt.decode", bucket] >= 4
     assert spans["broker.route", None] >= 2
-    assert spans["link.encode", "10kB"] == 2
-    assert spans["link.decode", "10kB"] == 2
+    assert spans["link.encode", bucket] == 2
+    assert spans["link.decode", bucket] == 2
+
+
+def test_wrapped_layers_see_the_publish_path(perfbench_path):
+    _assert_publish_path(_traced_exchange(bytes(range(256)) * 40), "10kB")  # 10 240 B
+
+
+@pytest.mark.parametrize("size", [
+    102_400,  # read whole into the client's buffer
+    300_032,  # above SPLIT_READ_BYTES: the client reads its payload apart
+])
+def test_wrapped_layers_see_a_100kb_publish_path(perfbench_path, size):
+    _assert_publish_path(_traced_exchange(bytes(range(256)) * (size // 256)), "100kB")

@@ -7,6 +7,7 @@ import zlib
 import numpy as np
 import pytest
 
+from twinet import heap
 from twinet import pilotguard as pg
 from twinet.link import LinkEndpoint
 from twinet.pilotguard import ChecksumError
@@ -807,14 +808,14 @@ def _resident_kb() -> int:
     raise AssertionError("no VmRSS line")
 
 
-@pytest.mark.skipif(pg._malloc_trim is None, reason="needs glibc malloc_trim")
+@pytest.mark.skipif(heap._malloc_trim is None, reason="needs glibc malloc_trim")
 def test_release_free_heap_returns_memory_below_a_live_block():
-    np.ones(6 << 17)  # a freed 6 MB mapping raises glibc's mmap threshold
+    heap.keep_freed_heap(32 << 20)  # as twinet.client does: 5 MB blocks from the heap
     base = _resident_kb()
-    a, b = np.ones(5 << 17), np.ones(5 << 17)  # 10 MB, now from the heap
+    a, b = np.ones(5 << 17), np.ones(5 << 17)  # 10 MB
     pin = np.ones(25_000)  # above them: free cannot shrink the heap past it
     del a, b
-    pg._release_free_heap()
+    heap.release_free_heap()
     assert _resident_kb() - base < 3 << 10
     del pin
 
