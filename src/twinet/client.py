@@ -45,10 +45,6 @@ from .mqtt import (
 
 log = logging.getLogger(__name__)
 
-# A message's frame-sized blocks come from the heap and go back to it, so the
-# pages they fill stay faulted in from one message to the next.
-heap.keep_freed_heap(2 * MAX_FRAME_BYTES)
-
 
 class BrokerUnreachableError(ConnectionError):
     """Raised once the reconnect retry budget is exhausted."""
@@ -100,7 +96,13 @@ class MqttClient:
     # -- connection ----------------------------------------------------------
 
     def connect(self) -> None:
-        """Connect with bounded retries and exponential backoff."""
+        """Connect with bounded retries and exponential backoff.
+
+        Also keeps the process's frame-sized heap blocks in the heap
+        (``heap.keep_freed_heap``): each large message allocates and frees
+        one, and the pages it fills then stay faulted in from one message
+        to the next."""
+        heap.keep_freed_heap(2 * MAX_FRAME_BYTES)
         delay = BACKOFF_S
         last_error: Exception | None = None
         for attempt in range(CONNECT_RETRIES):

@@ -15,9 +15,11 @@ the payload + 20 B + the MQTT header:
 | 20 | rest | payload |
 
 The sender puts the header in the MQTT frame's head and writes the payload
-after it as the caller's own object; the receiving client splits the header
-off as the PUBLISH's prefix and hands the payload over as the ``bytes`` it
-was received into. Neither side copies it on the way.
+after it as the caller's own object, so it copies no payload. The receiving
+client splits the header off as the PUBLISH's prefix and hands the payload
+over as ``bytes``, which the envelope keeps: received straight into them
+when the frame is long, copied once out of the client's frame buffer when
+it is short (``twinet.mqtt.SPLIT_READ_BYTES``).
 
 Canonical topic namespace: rw/traffic, rw/request, dt/eval/result,
 dt/model/request, dt/model/artifact, bench/ping/<dir>, bench/pong/<dir>.

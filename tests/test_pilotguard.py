@@ -810,7 +810,7 @@ def _resident_kb() -> int:
 
 @pytest.mark.skipif(heap._malloc_trim is None, reason="needs glibc malloc_trim")
 def test_release_free_heap_returns_memory_below_a_live_block():
-    heap.keep_freed_heap(32 << 20)  # as twinet.client does: 5 MB blocks from the heap
+    heap.keep_freed_heap(32 << 20)  # as MqttClient.connect does: 5 MB blocks from the heap
     base = _resident_kb()
     a, b = np.ones(5 << 17), np.ones(5 << 17)  # 10 MB
     pin = np.ones(25_000)  # above them: free cannot shrink the heap past it
