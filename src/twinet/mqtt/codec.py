@@ -182,32 +182,11 @@ def decode_packet(frame: bytes | bytearray | memoryview, prefix_size: int = 0,
         raise LengthMismatchError(
             f"declared {remaining} body bytes, got {len(body)}"
         )
-    if ptype == _TYPE_PUBLISH:
-        return _decode_publish(flags, body, prefix_size, payload)
-    return _decode_body(ptype, body)
+    return _decode_body(ptype, flags, body, prefix_size, payload)
 
 
-def _decode_publish(flags: int, body: memoryview, prefix_size: int,
-                    payload: bytes | None) -> Publish:
-    qos = (flags >> 1) & 0x03
-    if qos not in (0, 1):
-        raise UnknownPacketTypeError(f"unsupported publish qos {qos}")
-    topic, offset = _decode_string(body, 0)
-    validate_topic(topic)
-    packet_id = None
-    if qos == 1:
-        if offset + 2 > len(body):
-            raise TruncatedFrameError("publish packet id truncated")
-        (packet_id,) = struct.unpack_from(">H", body, offset)
-        offset += 2
-    end = offset + prefix_size
-    prefix = bytes(body[offset:end]) if prefix_size else b""
-    if payload is None:
-        payload = body[end:].toreadonly()
-    return Publish(topic, payload, qos, packet_id, prefix)
-
-
-def _decode_body(ptype: int, body: memoryview) -> ControlPacket:
+def _decode_body(ptype: int, flags: int, body: memoryview, prefix_size: int,
+                 payload: bytes | None) -> ControlPacket:
     if ptype == _TYPE_CONNECT:
         offset = len(_PROTOCOL_NAME) + 2 + 2
         if len(body) < offset or body[: len(_PROTOCOL_NAME)] != _PROTOCOL_NAME:
@@ -220,6 +199,23 @@ def _decode_body(ptype: int, body: memoryview) -> ControlPacket:
         if len(body) != 2:
             raise LengthMismatchError("connack body must be 2 bytes")
         return ConnAck(body[1])
+    if ptype == _TYPE_PUBLISH:
+        qos = (flags >> 1) & 0x03
+        if qos not in (0, 1):
+            raise UnknownPacketTypeError(f"unsupported publish qos {qos}")
+        topic, offset = _decode_string(body, 0)
+        validate_topic(topic)
+        packet_id = None
+        if qos == 1:
+            if offset + 2 > len(body):
+                raise TruncatedFrameError("publish packet id truncated")
+            (packet_id,) = struct.unpack_from(">H", body, offset)
+            offset += 2
+        end = offset + prefix_size
+        prefix = bytes(body[offset:end]) if prefix_size else b""
+        if payload is None:
+            payload = body[end:].toreadonly()
+        return Publish(topic, payload, qos, packet_id, prefix)
     if ptype == _TYPE_PUBACK:
         if len(body) != 2:
             raise LengthMismatchError("puback body must be 2 bytes")

@@ -24,14 +24,16 @@ class ConnAck:
 class Publish:
     """A PUBLISH whose MQTT payload is ``prefix`` followed by ``payload``.
 
-    The encoder joins the small ``prefix`` (the link's envelope header and
-    topic) into the frame head, so ``payload`` goes to the socket as the
-    caller's own object, never copied. A decoded publish has an empty
-    prefix and its whole MQTT payload in ``payload``.
+    The encoder joins the small ``prefix`` (the link's 20 B envelope header)
+    into the frame head, so ``payload`` goes to the socket as the caller's
+    own object, never copied. The decoder splits a prefix of the reader's
+    ``prefix_size`` off again, so on both sides it means the same bytes; a
+    decoded payload is a read-only view of the frame, or, for a long frame
+    that a client read apart, ``bytes`` of its own.
     """
 
     topic: str
-    payload: bytes | memoryview = b""  # decoded: a read-only view of the frame
+    payload: bytes | memoryview = b""
     qos: int = 0
     packet_id: int | None = None
     prefix: bytes = b""

@@ -27,7 +27,7 @@ from twinet.mqtt import SPLIT_READ_BYTES, PubAck
 SLOTS = 4  # at most four clients: the broker starts a thread per connection
 TOPICS = ("a", "a/b", "b", "b/a", "$SYS/a")
 FILTERS = ("a", "a/b", "a/+", "+", "+/a", "a/#", "#", "$SYS/#", "$SYS/+")
-# the last lies above the size from which the client reads a payload apart
+# the last makes a frame longer than SPLIT_READ_BYTES, which the client reads apart
 SIZES = (0, 7, 1_000, SPLIT_READ_BYTES)
 # how long a poll waits for a message the model expects
 POLL_TIMEOUT_S = 5.0
