@@ -9,7 +9,7 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters, malloc.h
 try:
     _libc = ctypes.CDLL(None)
     _malloc_trim, _mallopt = _libc.malloc_trim, _libc.mallopt
-except (AttributeError, OSError):  # not glibc
+except (AttributeError, OSError, TypeError):  # not glibc
     _malloc_trim = _mallopt = None
 else:
     _malloc_trim.argtypes, _malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int

@@ -178,10 +178,9 @@ def decode_packet(frame: bytes | bytearray | memoryview, prefix_size: int = 0,
     flags = header & 0x0F
     remaining, consumed = decode_remaining_length(frame, 1)
     body = memoryview(frame)[1 + consumed :]
-    if len(body) + (0 if payload is None else len(payload)) != remaining:
-        raise LengthMismatchError(
-            f"declared {remaining} body bytes, got {len(body)}"
-        )
+    got = len(body) + (0 if payload is None else len(payload))
+    if got != remaining:
+        raise LengthMismatchError(f"declared {remaining} body bytes, got {got}")
     return _decode_body(ptype, flags, body, prefix_size, payload)
 
 
