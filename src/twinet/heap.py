@@ -8,19 +8,11 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters, malloc.h
 
 try:
     _libc = ctypes.CDLL(None)
-    _malloc_trim, _mallopt = _libc.malloc_trim, _libc.mallopt
+    _mallopt = _libc.mallopt
 except (AttributeError, OSError, TypeError):  # not glibc
-    _malloc_trim = _mallopt = None
+    _mallopt = None
 else:
-    _malloc_trim.argtypes, _malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
     _mallopt.argtypes, _mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-
-
-def release_free_heap() -> None:
-    """Hand the free pages of every malloc arena back to the OS, wherever a
-    free block lies (``malloc_trim(0)``)."""
-    if _malloc_trim is not None:
-        _malloc_trim(0)
 
 
 def keep_freed_heap(nbytes: int) -> None:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import struct
 import time
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -82,25 +81,6 @@ class RateSchedule:
             else:
                 break
         return rate
-
-
-def _psr_ticks(r_act_mbps, capacity_mbps: float, sigma: float,
-               rng: np.random.Generator) -> Iterator[list[float]]:
-    """Per-UE PSR of successive ticks at fixed rates: one normal(0, sigma, n)
-    draw per tick, none at zero sigma or zero demand (PSR 1: nothing sent,
-    nothing lost)."""
-    n, demand = len(r_act_mbps), float(np.sum(r_act_mbps))
-    base = min(1.0, capacity_mbps / demand) if demand > 0.0 else 1.0
-    noisy = sigma > 0 and demand > 0.0
-    while True:
-        noise = rng.normal(0.0, sigma, n).tolist() if noisy else [0.0] * n
-        yield [min(1.0, max(0.0, base + z)) for z in noise]
-
-
-def compute_psr(r_act_mbps: np.ndarray, capacity_mbps: float, sigma: float,
-                rng: np.random.Generator) -> np.ndarray:
-    """Per-UE packet success rate under aggregate congestion."""
-    return np.array(next(_psr_ticks(r_act_mbps, capacity_mbps, sigma, rng)))
 
 
 # Tick history: one (capacity, n_ues) array per column, a row per tick.
@@ -178,12 +158,15 @@ class CellSim:
         history["r_act"][start:stop] = self.r_act
         history["sent"][start:stop] = sent
         psr, received, binomial = history["psr"], history["received"], self.rng.binomial
-        ticks = _psr_ticks(self.r_act, self.config.capacity_mbps,
-                           self.config.psr_noise_sigma, self.rng)
+        n, sigma = self.config.n_ues, self.config.psr_noise_sigma
+        demand = float(np.sum(self.r_act))
+        base = min(1.0, self.config.capacity_mbps / demand) if demand > 0.0 else 1.0
+        noisy = sigma > 0 and demand > 0.0  # PSR 1 when nothing is sent
         sent = sent.tolist()
         for t in range(start, stop):
-            for i, p in enumerate(next(ticks)):
-                psr[t, i] = p
+            noise = self.rng.normal(0.0, sigma, n).tolist() if noisy else [0.0] * n
+            for i, z in enumerate(noise):
+                psr[t, i] = p = min(1.0, max(0.0, base + z))
                 received[t, i] = binomial(sent[i], p)
         return psr[start:stop], received[start:stop]
 

@@ -31,7 +31,6 @@ from .link import (
     MessageEnvelope,
     TwinService,
 )
-from .heap import release_free_heap
 from .seeds import derive_seed
 
 log = logging.getLogger(__name__)
@@ -610,7 +609,6 @@ class ModelFactoryService(TwinService):
         t3 = time.perf_counter()
         self.last_accuracies = (accuracy(model, x_train, y_train),
                                 accuracy(model, x_test, y_test))
-        release_free_heap()
         return model, RedeployTiming(
             data_transfer_s=0.0, data_collection_s=t1 - t0,
             data_processing_s=t2 - t1, model_creation_s=t3 - t2,

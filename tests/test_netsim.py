@@ -7,7 +7,6 @@ from twinet.netsim import (
     CellSim,
     RateSchedule,
     ScenarioConfig,
-    compute_psr,
 )
 
 
@@ -16,26 +15,31 @@ def sim(sigma=0.0, seed=0, n_ues=3, capacity=9.0):
                                   psr_noise_sigma=sigma, seed=seed))
 
 
+def psr_block(rates, ticks=1, sigma=0.0):
+    """The PSR of ``ticks`` ticks at ``rates`` in a 9 Mbps cell, from
+    ``CellSim.step_ticks``."""
+    s = sim(sigma=sigma, n_ues=len(rates))
+    s.apply_allocation(rates)
+    return s.step_ticks(ticks)[0]
+
+
 class TestComputePsr:
+    """The PSR rule: min(1, capacity / demand) plus noise, clamped to [0, 1]."""
+
     def test_under_capacity_is_one(self):
-        psr = compute_psr(np.array([1.5, 1.5, 1.5]), 9.0, 0.0,
-                          np.random.default_rng(0))
-        assert np.all(psr == 1.0)
+        assert np.all(psr_block([1.5, 1.5, 1.5]) == 1.0)
 
     def test_over_capacity_ratio(self):
-        psr = compute_psr(np.array([4.5, 4.5, 4.5]), 9.0, 0.0,
-                          np.random.default_rng(0))
-        assert psr == pytest.approx([9 / 13.5] * 3)
+        assert psr_block([4.5, 4.5, 4.5])[0] == pytest.approx([9 / 13.5] * 3)
 
     def test_zero_demand_convention(self):
-        psr = compute_psr(np.zeros(3), 9.0, 0.5, np.random.default_rng(0))
-        assert np.all(psr == 1.0)
+        assert np.all(psr_block([0.0, 0.0, 0.0], sigma=0.5) == 1.0)
 
     def test_bounds_with_noise(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            psr = compute_psr(np.array([5.0, 5.0]), 9.0, 0.3, rng)
-            assert np.all((psr >= 0.0) & (psr <= 1.0))
+        psr = psr_block([5.0, 5.0], ticks=200, sigma=0.3)
+        assert psr.shape == (200, 2)
+        assert np.all((psr >= 0.0) & (psr <= 1.0))
+        assert psr.min() < 9 / 10 < psr.max()  # noise on both sides of the base
 
     def test_deterministic_given_seed(self):
         def run():

@@ -7,7 +7,6 @@ import zlib
 import numpy as np
 import pytest
 
-from twinet import heap
 from twinet import pilotguard as pg
 from twinet.link import LinkEndpoint
 from twinet.pilotguard import ChecksumError
@@ -798,26 +797,6 @@ class TestModelFactoryService:
         assert pg.decode_model(envelope.payload).seed == 8
         assert dt_link.decode_errors == 0  # the request itself decoded
         assert "training loss became non-finite at iteration 3" in caplog.text
-
-
-def _resident_kb() -> int:
-    with open("/proc/self/status") as status:
-        for line in status:
-            if line.startswith("VmRSS:"):
-                return int(line.split()[1])
-    raise AssertionError("no VmRSS line")
-
-
-@pytest.mark.skipif(heap._malloc_trim is None, reason="needs glibc malloc_trim")
-def test_release_free_heap_returns_memory_below_a_live_block():
-    heap.keep_freed_heap(32 << 20)  # as MqttClient.connect does: 5 MB blocks from the heap
-    base = _resident_kb()
-    a, b = np.ones(5 << 17), np.ones(5 << 17)  # 10 MB
-    pin = np.ones(25_000)  # above them: free cannot shrink the heap past it
-    del a, b
-    heap.release_free_heap()
-    assert _resident_kb() - base < 3 << 10
-    del pin
 
 
 def _child_seeds(seed: int, *path: int, n: int = 1) -> list[int]:
