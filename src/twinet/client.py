@@ -87,7 +87,6 @@ class MqttClient:
         self._received: deque[tuple[str, bytes, int, bytes]] = deque()
         # ids of QoS-1 publishes read on this connection and not yet acked
         self._acks: list[int] = []
-        self._reads = 0  # packets read: a poll's wait saw data no call has read
         self._lock = threading.Lock()  # every read and write of the socket
         self._packet_ids = packet_ids()  # advanced under _lock
         self._subscriptions: list[tuple[str, int]] = []
@@ -193,18 +192,17 @@ class MqttClient:
         wait = deadline - time.monotonic()
         return bool(select.select(sock, [], [], max(0.0, wait))[0])
 
-    def _read(self, deadline: float, ready: bool = False):
-        """Next packet, or None if none starts before ``deadline`` (monotonic);
-        ``ready`` says that one has begun arriving. A PUBLISH is stamped, put
-        on the deque with its payload as ``bytes`` (a copy only of a payload
-        read into the reader's buffer) and, at QoS 1, its PUBACK queued."""
+    def _read(self, deadline: float):
+        """Next packet, or None if none starts before ``deadline`` (monotonic).
+        A PUBLISH is stamped, put on the deque with its payload as ``bytes`` (a
+        copy only of a payload read into the reader's buffer) and, at QoS 1,
+        its PUBACK queued."""
         if self._sock is None:
             raise ConnectionError("not connected")
         try:
-            if not (ready or self._readable(deadline)):
+            if not self._readable(deadline):
                 return None
             packet = self._reader.read_packet()
-            self._reads += 1
         except (CodecError, OSError, ValueError) as exc:
             self._teardown()
             raise ConnectionError(f"connection lost: {exc}") from exc
@@ -285,29 +283,22 @@ class MqttClient:
         the reader's buffer. The prefix is the payload's first
         ``prefix_size`` bytes, split off.
 
-        It reads under the lock whatever has arrived, and waits for more
-        outside it, so a call from another thread can publish meanwhile. One
-        deadline covers the whole call. Each read uses whichever socket is
-        live at that point: during a wait, another call may have read the
-        data, torn the connection down or reconnected."""
+        It reads under the lock what a zero-timeout ``select`` says has
+        arrived, and waits for more outside it, so another thread can publish
+        meanwhile. One deadline covers the whole call. Each read uses the
+        socket live at that point: during a wait, another call may have read
+        the data, torn the connection down or reconnected."""
         deadline = time.monotonic() + timeout
-        ready = False
         while True:
             with self._lock:
-                # a wait that saw data, with no read since on that socket:
-                # the data is still there
-                if ready and self._sock is sock and self._reads == reads:
-                    self._read(deadline, ready=True)
                 while not self._received and self._read(time.monotonic()) is not None:
                     pass
                 if self._received:
                     self._send_acks()
                     return self._received.popleft()
-                sock, reads = self._sock, self._reads
+                sock = self._sock
             wait = deadline - time.monotonic()
             if wait <= 0:
                 return None
-            try:
-                ready = bool(select.select([sock], [], [], wait)[0])
-            except (OSError, ValueError):  # closed meanwhile: the read tells
-                ready = False
+            with contextlib.suppress(OSError, ValueError):  # closed: the read tells
+                select.select([sock], [], [], wait)

@@ -120,12 +120,6 @@ class PilotConfig:
         return cls(n_subcarriers, tuple(int(i) for i in indices), label)
 
 
-@dataclass(frozen=True)
-class SpectrumFrame:
-    powers: np.ndarray  # per-subcarrier linear power, length n_subcarriers
-    jam_class: int  # 0 = clean, p = pilot p jammed (1-based)
-
-
 def data_band(n_subcarriers: int) -> tuple[int, int]:
     """Half-open index range of data-bearing subcarriers (guards excluded)."""
     guard = n_subcarriers // 8
@@ -159,14 +153,14 @@ def standard_normals(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
 
 def generate_frame(config: PilotConfig, jam_class: int,
                    rng: np.random.Generator,
-                   noise_sigma: float = LOG_NOISE_SIGMA) -> SpectrumFrame:
+                   noise_sigma: float = LOG_NOISE_SIGMA) -> np.ndarray:
     """One frame's float32 powers, held in float64; class p > 0 jams pilot p."""
     if not 0 <= jam_class <= config.n_pilots:
         raise ValueError(f"jam_class out of range: {jam_class}")
     powers = frame_templates(config)[jam_class]
     noise = standard_normals(rng, np.empty((1, config.n_subcarriers), np.float32))
     powers *= np.exp(noise[0] * np.float32(noise_sigma))
-    return SpectrumFrame(powers.astype(np.float64), jam_class)
+    return powers.astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -245,7 +239,6 @@ class ClassifierModel:
     bias: np.ndarray  # (n_classes,)
     pilot_config: PilotConfig
     norm_stats: NormStats
-    version: int = MODEL_VERSION
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -344,10 +337,9 @@ def train_model(config: PilotConfig,
 
     The step runs in float32: on ``x_train`` itself if float32 (the factory's
     is), else on a copy. The weights, bias, velocities and model stay float64.
-    The batch is checked before and after the cast: a finite float64 feature
-    beyond float32's range would be ``inf``. ``seed`` draws the weights."""
+    The float32 batch is checked once, after the cast, which makes a finite
+    float64 feature beyond float32's range ``inf``. ``seed`` draws the weights."""
     n_classes = config.n_pilots + 1
-    _check_batch(x_train, y_train, n_classes)
     with np.errstate(over="ignore"):  # an overflow is refused just below
         batch = x_train.astype(np.float32, copy=False)
     _check_batch(batch, y_train, n_classes)
@@ -371,9 +363,8 @@ def train_model(config: PilotConfig,
     return model, history
 
 
-def predict(model: ClassifierModel, frame: SpectrumFrame | np.ndarray):
-    """(jam_class, probabilities); argmax ties break toward the lower class."""
-    powers = frame.powers if isinstance(frame, SpectrumFrame) else frame
+def predict(model: ClassifierModel, powers: np.ndarray):
+    """(jam_class, probabilities) of a frame's powers; ties go to the lower class."""
     if powers.shape != (model.pilot_config.n_subcarriers,):
         raise ValueError(f"frame length {powers.shape} does not match "
                          f"K={model.pilot_config.n_subcarriers}")
@@ -398,7 +389,7 @@ def encode_model(model: ClassifierModel) -> bytes:
     label = config.label.encode("utf-8")
     parts = [
         MODEL_MAGIC,
-        struct.pack(">HHHQH", model.version, config.n_subcarriers,
+        struct.pack(">HHHQH", MODEL_VERSION, config.n_subcarriers,
                     config.n_pilots, model.seed, len(label)),
         label,
         struct.pack(f">{config.n_pilots}H", *config.pilot_indices),
@@ -461,8 +452,7 @@ def decode_model(blob: bytes) -> ClassifierModel:
         raise ModelFormatError("trailing bytes in model artifact")
     config = PilotConfig(k, pilot_indices, label)
     return ClassifierModel(weights=weights, bias=bias, pilot_config=config,
-                           norm_stats=NormStats(mean, std),
-                           version=version, seed=seed)
+                           norm_stats=NormStats(mean, std), seed=seed)
 
 
 # -- pilot relocation ----------------------------------------------------------
@@ -524,8 +514,8 @@ class BaseStation:
         # single reference assignment: readers never observe a mixed pair
         self._state = (model, model.pilot_config)
 
-    def detect_loop(self, frames: Iterable[SpectrumFrame]) -> list[JamEvent]:
-        """Classify frames; emit one event per run of >= DEFAULT_DEBOUNCE
+    def detect_loop(self, frames: Iterable[np.ndarray]) -> list[JamEvent]:
+        """Classify frames' powers; emit one event per run of >= DEFAULT_DEBOUNCE
         jammed frames."""
         events: list[JamEvent] = []
         consecutive = 0
@@ -545,6 +535,7 @@ class BaseStation:
 
 # K, seed, pilot count; then the pilot indices as u16, then the UTF-8 label
 _MODEL_REQUEST = ">HQH"
+_MAX_SUBCARRIERS = max(k for k, _ in SCENARIOS.values())
 
 
 def encode_model_request(pilots: PilotConfig, seed: int) -> bytes:
@@ -556,9 +547,13 @@ def encode_model_request(pilots: PilotConfig, seed: int) -> bytes:
 def decode_model_request(payload: bytes) -> tuple[PilotConfig, int]:
     reader = _BlobReader(payload)
     k, seed, p = reader.unpack(_MODEL_REQUEST)
+    if k > _MAX_SUBCARRIERS:  # the factory would allocate, and keep, (n, K) arrays
+        raise ModelFormatError(f"K={k} is above the largest scenario's {_MAX_SUBCARRIERS}")
     pilot_indices = reader.unpack(f">{p}H")
-    label = reader.label(len(payload) - reader.offset)
-    return PilotConfig(k, pilot_indices, label), seed
+    label_size = len(payload) - reader.offset
+    if label_size > 0xFFFF:  # the artifact carries the label's length as u16
+        raise ModelFormatError(f"a {label_size} B label is over 65535 B")
+    return PilotConfig(k, pilot_indices, reader.label(label_size)), seed
 
 
 class ModelFactoryService(TwinService):

@@ -93,8 +93,7 @@ class TestEnvelopeCodec:
         with pytest.raises(EnvelopeError, match="kind index"):
             decode_envelope("t", header(kind=7), b"p")
 
-    def test_missing_key_rejected(self):
-        # the binary counterpart of a missing key: the header ends inside sent_at
+    def test_header_ending_inside_sent_at_rejected(self):
         with pytest.raises(EnvelopeError, match="header truncated"):
             decode_envelope("t", header()[:15], b"")
 
@@ -104,8 +103,8 @@ class TestEnvelopeCodec:
         with pytest.raises(BadTopicError, match="UTF-8"):
             decode_packet(frame, prefix_size=20)
 
-    def test_bad_base64_rejected(self):
-        # a legacy JSON envelope is not a binary envelope
+    def test_json_envelope_rejected(self):
+        # the JSON+base64 envelope that version 2 replaced
         data = (b'{"topic":"t","seq":0,"sent_at":1,'
                 b'"kind":"BenchPing","payload_b64":"@@"}')
         with pytest.raises(EnvelopeError):

@@ -1,15 +1,19 @@
 """The benchmark in ``perfbench/`` imports and wraps twinet's public names.
 Installing its tracer checks that every one of them still exists, so a
-rename fails here and not only in a traced benchmark run. Sending envelopes
-with the tracer installed checks that the publish path still calls the
-wrapped names, so a traced run does not read n=0 for a layer."""
+rename fails here and not only in a traced benchmark run. Sending envelopes,
+building a model and detecting over frames with the tracer installed checks
+that the publish, factory and detection paths still call the wrapped names,
+so a traced run does not read n=0 for a layer."""
 
 import sys
+import types
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from twinet import pilotguard as pg
 from twinet.broker import Broker
 from twinet.link import LinkEndpoint
 
@@ -39,15 +43,25 @@ def test_perfbench_imports_and_wraps_twinet(perfbench_path):
         tracer.uninstall()
 
 
-def _traced_exchange(payload: bytes) -> Counter:
-    """Send ``payload`` once each way with the tracer installed; the spans
-    recorded, by (name, tag)."""
+def _traced(run) -> Counter:
+    """Call ``run`` with the tracer installed; the spans recorded, by
+    (name, tag)."""
     import layers
     from spans import Tracer
 
     tracer = Tracer()
     layers.install(tracer)
     try:
+        run()
+    finally:
+        tracer.uninstall()
+    return Counter((span.name, span.tag) for span in tracer.spans)
+
+
+def _traced_exchange(payload: bytes) -> Counter:
+    """Send ``payload`` once each way with the tracer installed; the spans
+    recorded, by (name, tag)."""
+    def exchange():
         with Broker(port=0) as broker, \
              LinkEndpoint("trace-real", broker.host, broker.port) as real, \
              LinkEndpoint("trace-twin", broker.host, broker.port) as twin:
@@ -58,9 +72,8 @@ def _traced_exchange(payload: bytes) -> Counter:
                 sender.publish_envelope(topic, "BenchPing", payload)
                 received = receiver.poll_envelope(timeout=5.0)
                 assert received is not None and received.payload == payload
-    finally:
-        tracer.uninstall()
-    return Counter((span.name, span.tag) for span in tracer.spans)
+
+    return _traced(exchange)
 
 
 def _assert_publish_path(spans: Counter, bucket: str) -> None:
@@ -83,3 +96,25 @@ def test_wrapped_layers_see_the_publish_path(perfbench_path):
 ])
 def test_wrapped_layers_see_a_100kb_publish_path(perfbench_path, size):
     _assert_publish_path(_traced_exchange(bytes(range(256)) * (size // 256)), "100kB")
+
+
+def test_wrapped_layers_see_a_factory_build(perfbench_path):
+    factory = pg.ModelFactoryService(types.SimpleNamespace(subscribe=lambda topic: None),
+                                     n_train=300, n_test=60)
+    pilots = pg.PilotConfig.for_scenario("10 MHz", 5)
+    spans = _traced(lambda: factory.build_model(pilots, 5))
+    # the training set's draw and the test set's
+    assert spans["pilotguard.collect", None] == 2
+    assert spans["pilotguard.process", None] == 1
+    assert spans["pilotguard.train", None] == 1
+
+
+def test_wrapped_layers_see_each_detected_frame(perfbench_path):
+    pilots = pg.PilotConfig.for_scenario("10 MHz", 5)
+    factory = pg.ModelFactoryService(types.SimpleNamespace(subscribe=lambda topic: None),
+                                     n_train=300, n_test=60)
+    station = pg.BaseStation(factory.build_model(pilots, 5)[0])
+    rng = np.random.default_rng(5)
+    frames = [pg.generate_frame(pilots, 1, rng) for _ in range(7)]
+    spans = _traced(lambda: station.detect_loop(frames))
+    assert spans["pilotguard.predict", None] == len(frames)

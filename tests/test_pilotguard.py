@@ -1,3 +1,4 @@
+import struct
 import threading
 import time
 import tracemalloc
@@ -24,16 +25,16 @@ class TestFrameGeneration:
         config = small_config()
         frame = pg.generate_frame(config, 0, np.random.default_rng(0),
                                   noise_sigma=0.0)
-        assert frame.powers[4] == pg.PILOT_POWER
-        assert frame.powers[0] == pg.NOISE_POWER  # guard band
-        assert frame.powers[5] == pg.DATA_POWER
+        assert frame[4] == pg.PILOT_POWER
+        assert frame[0] == pg.NOISE_POWER  # guard band
+        assert frame[5] == pg.DATA_POWER
 
     def test_jammed_pilot_power(self):
         config = small_config()
         frame = pg.generate_frame(config, 1, np.random.default_rng(0),
                                   noise_sigma=0.0)
-        assert frame.powers[4] == pg.PILOT_POWER + pg.JAMMER_POWER == 16.0
-        assert frame.powers[7] == pg.PILOT_POWER
+        assert frame[4] == pg.PILOT_POWER + pg.JAMMER_POWER == 16.0
+        assert frame[7] == pg.PILOT_POWER
 
     def test_jam_class_bounds(self):
         with pytest.raises(ValueError):
@@ -42,7 +43,7 @@ class TestFrameGeneration:
     def test_deterministic_given_seed(self):
         a = pg.generate_frame(small_config(), 2, np.random.default_rng(5))
         b = pg.generate_frame(small_config(), 2, np.random.default_rng(5))
-        assert np.array_equal(a.powers, b.powers)
+        assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("k", [128, 127])
     def test_every_class_at_its_template_levels_without_noise(self, k):
@@ -55,8 +56,8 @@ class TestFrameGeneration:
             expected[list(config.pilot_indices)] = pg.PILOT_POWER
             if jam_class:
                 expected[config.pilot_indices[jam_class - 1]] += pg.JAMMER_POWER
-            assert frame.powers.dtype == np.float64
-            assert frame.powers.tobytes() == expected.tobytes()
+            assert frame.dtype == np.float64
+            assert frame.tobytes() == expected.tobytes()
 
 
 class TestStandardNormals:
@@ -86,7 +87,7 @@ def reference_labeled_frames(config, n, rng):
     powers, each a float32 value, the batched draw must match bit for bit."""
     labels = pg._balanced_labels(n, config.n_pilots + 1, rng)
     powers = np.stack([
-        pg.generate_frame(config, int(label), rng).powers for label in labels
+        pg.generate_frame(config, int(label), rng) for label in labels
     ])
     return powers, labels
 
@@ -697,6 +698,25 @@ class TestSwapAtomicity:
         assert violations == []
 
 
+class TestModelRequestCodec:
+    def test_k_above_every_scenario_refused(self):
+        # a build allocates (n, K) arrays, and the factory keeps them
+        assert max(k for k, _ in pg.SCENARIOS.values()) == 128
+        accepted = pg.encode_model_request(pg.PilotConfig(128, (20,), "x"), 1)
+        assert pg.decode_model_request(accepted)[0].n_subcarriers == 128
+        refused = pg.encode_model_request(pg.PilotConfig(129, (20,), "x"), 1)
+        with pytest.raises(pg.ModelFormatError, match="K=129"):
+            pg.decode_model_request(refused)
+
+    def test_label_over_65535_bytes_refused(self):
+        # the artifact carries the label's length as u16
+        accepted = pg.encode_model_request(pg.PilotConfig(64, (20,), "x" * 0xFFFF), 1)
+        assert len(pg.decode_model_request(accepted)[0].label) == 0xFFFF
+        refused = pg.encode_model_request(pg.PilotConfig(64, (20,), "x" * 0x10000), 1)
+        with pytest.raises(pg.ModelFormatError, match="65536 B label"):
+            pg.decode_model_request(refused)
+
+
 class TestModelFactoryService:
     @pytest.mark.parametrize("label, seed, crc, accuracies", [
         ("10 MHz", 21, 0x43D17796, (1.0, 0.9666666666666667)),
@@ -759,7 +779,10 @@ class TestModelFactoryService:
             worker.start()
             try:
                 for bad in (b"{}", b"[1, 2]", b'{"K": 16, "pilot_indices": [99],'
-                            b' "scenario_label": "x", "seed": 1}'):
+                            b' "scenario_label": "x", "seed": 1}',
+                            struct.pack(">HQ", 16, 1),  # the >HQH header cut short
+                            struct.pack(">HQHH", 16, 1, 1, 16) + b"x",  # pilot index = K
+                            struct.pack(">HQH", 16, 1, 0) + b"\xff"):  # label not UTF-8
                     bs_link.publish_envelope(pg.TOPIC_DT_MODEL_REQUEST, "ModelRequest", bad)
                 bs_link.publish_envelope(pg.TOPIC_DT_MODEL_REQUEST, "ModelRequest",
                                          pg.encode_model_request(config, 7))
@@ -770,7 +793,32 @@ class TestModelFactoryService:
         assert not worker.is_alive()
         assert envelope is not None and envelope.kind == "ModelArtifactMsg"
         assert pg.decode_model(envelope.payload).pilot_config == config
-        assert dt_link.decode_errors == 3
+        assert dt_link.decode_errors == 6
+
+    def test_over_long_label_is_dropped_before_the_build(self, broker):
+        # its artifact could not carry the label's length as u16
+        config = small_config()
+        with LinkEndpoint("dt", broker.host, broker.port) as dt_link, \
+             LinkEndpoint("bs", broker.host, broker.port) as bs_link:
+            factory = pg.ModelFactoryService(dt_link, n_train=100, n_test=20)
+            built, build_model = [], factory.build_model
+
+            def counted_build(pilots, seed):
+                built.append(pilots)
+                return build_model(pilots, seed)
+
+            factory.build_model = counted_build
+            bs_link.subscribe(pg.TOPIC_DT_MODEL_ARTIFACT)
+            with factory.serving():
+                long_label = pg.PilotConfig(16, (4, 7, 10), "x" * 70_000)
+                for pilots in (long_label, config):
+                    bs_link.publish_envelope(pg.TOPIC_DT_MODEL_REQUEST, "ModelRequest",
+                                             pg.encode_model_request(pilots, 7))
+                envelope = bs_link.poll_envelope(timeout=10.0)
+        assert envelope is not None and envelope.kind == "ModelArtifactMsg"
+        assert pg.decode_model(envelope.payload).pilot_config == config
+        assert dt_link.decode_errors == 1
+        assert built == [config]
 
     def test_diverged_build_does_not_stop_the_service(self, broker, monkeypatch,
                                                       caplog):

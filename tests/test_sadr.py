@@ -1,3 +1,4 @@
+import struct
 import threading
 import time
 
@@ -357,7 +358,10 @@ class TestTwinEvalService:
             try:
                 gate = LinkTwinGate(ctrl_link, horizon=5)
                 for bad in (b"{}", b"not json", b'{"request_id":1,'
-                            b'"rates_mbps":[1.0],"horizon_ticks":5}'):
+                            b'"rates_mbps":[1.0],"horizon_ticks":5}',
+                            struct.pack(">Q", 1),  # the >QI header cut short
+                            struct.pack(">QI", 1, 5) + b"\0" * 5,  # a partial f8
+                            struct.pack(">QI3d", 1, 0, 9, 9, 9)):  # horizon 0
                     ctrl_link.publish_envelope(TOPIC_RW_REQUEST, "EvalRequest", bad)
                 gate.send(TrafficRequest(3, (9, 9, 9), (4.5, 4.5, 4.5)))
                 evaluation = gate.result(3, timeout=5.0)
@@ -366,7 +370,7 @@ class TestTwinEvalService:
                 worker.join(timeout=5.0)
         assert not worker.is_alive()
         assert evaluation.request_id == 3
-        assert twin_link.decode_errors == 3
+        assert twin_link.decode_errors == 6
 
 
 class TestLocalTwinGate:
