@@ -24,9 +24,8 @@ import threading
 import time
 from collections import deque
 
-from . import heap
+from . import heap  # noqa: F401  (sets the process's heap policy)
 from .mqtt import (
-    MAX_FRAME_BYTES,
     ConnAck,
     Connect,
     Disconnect,
@@ -95,13 +94,7 @@ class MqttClient:
     # -- connection ----------------------------------------------------------
 
     def connect(self) -> None:
-        """Connect with bounded retries and exponential backoff.
-
-        Also keeps the process's frame-sized heap blocks in the heap
-        (``heap.keep_freed_heap``): each large message allocates and frees
-        one, and the pages it fills then stay faulted in from one message
-        to the next."""
-        heap.keep_freed_heap(2 * MAX_FRAME_BYTES)
+        """Connect with bounded retries and exponential backoff."""
         delay = BACKOFF_S
         last_error: Exception | None = None
         for attempt in range(CONNECT_RETRIES):

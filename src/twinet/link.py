@@ -178,7 +178,7 @@ class LinkEndpoint:
         self.qos = qos
         self._seq_lock = threading.Lock()
         self._next_seq: dict[str, int] = {}
-        self._last_seen_seq: dict[tuple[str, str], int] = {}
+        self._last_seen_seq: dict[str, int] = {}  # by topic, as publish_envelope numbers
         self.gap_count = 0
         self.decode_errors = 0
 
@@ -231,11 +231,10 @@ class LinkEndpoint:
                             topic, len(head) + len(payload), exc)
             else:
                 envelope.recv_at = recv_ns // 1_000
-                key = (envelope.kind, envelope.topic)
-                last = self._last_seen_seq.get(key)
+                last = self._last_seen_seq.get(topic)
                 if last is not None and envelope.seq > last + 1:
                     self.gap_count += envelope.seq - last - 1
-                self._last_seen_seq[key] = max(envelope.seq, last or 0)
+                self._last_seen_seq[topic] = max(envelope.seq, last or 0)
                 if kind is None or envelope.kind == kind:
                     return envelope
             timeout = max(0.0, deadline - time.monotonic())

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import logging
 import struct
-import threading
 import time
 import zlib
 from dataclasses import asdict, dataclass, replace
@@ -180,18 +179,15 @@ def _balanced_labels(n: int, n_classes: int, rng: np.random.Generator) -> np.nda
     return labels
 
 
-def generate_labeled_frames(config: PilotConfig, n: int, rng: np.random.Generator,
-                            out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Class-balanced float32 raw powers (n, K), into ``out`` if given, and
-    labels (n,): ``generate_frame``'s powers over the shuffled labels, bit for
-    bit. ``SUM_BLOCK_ROWS`` rows at a time are drawn, scaled, exponentiated
-    and multiplied by the template in float32 in ``out`` itself."""
+def generate_labeled_frames(config: PilotConfig, n: int, rng: np.random.Generator
+                            ) -> tuple[np.ndarray, np.ndarray]:
+    """Class-balanced float32 raw powers (n, K) and labels (n,):
+    ``generate_frame``'s powers over the shuffled labels, bit for bit.
+    ``SUM_BLOCK_ROWS`` rows at a time are drawn, scaled, exponentiated and
+    multiplied by the template in float32 in the powers array itself."""
     if n < 1:
         raise ValueError(f"need at least one frame, got n={n}")
-    shape = (n, config.n_subcarriers)
-    out = np.empty(shape, np.float32) if out is None else out
-    if out.shape != shape or out.dtype != np.float32:
-        raise ValueError(f"out must be float32 {shape}, got {out.dtype} {out.shape}")
+    out = np.empty((n, config.n_subcarriers), np.float32)
     labels = _balanced_labels(n, config.n_pilots + 1, rng)
     templates = frame_templates(config)
     for start in range(0, n, SUM_BLOCK_ROWS):
@@ -547,7 +543,7 @@ def encode_model_request(pilots: PilotConfig, seed: int) -> bytes:
 def decode_model_request(payload: bytes) -> tuple[PilotConfig, int]:
     reader = _BlobReader(payload)
     k, seed, p = reader.unpack(_MODEL_REQUEST)
-    if k > _MAX_SUBCARRIERS:  # the factory would allocate, and keep, (n, K) arrays
+    if k > _MAX_SUBCARRIERS:  # the factory would allocate (n, K) arrays of that K
         raise ModelFormatError(f"K={k} is above the largest scenario's {_MAX_SUBCARRIERS}")
     pilot_indices = reader.unpack(f">{p}H")
     label_size = len(payload) - reader.offset
@@ -567,36 +563,16 @@ class ModelFactoryService(TwinService):
         self.n_train, self.n_test = n_train, n_test
         self.last_timing: RedeployTiming | None = None
         self.last_accuracies: tuple[float, float] | None = None
-        self._arrays: dict[str, np.ndarray] = {}
-        self._build_lock = threading.Lock()
 
     def build_model(self, pilots: PilotConfig, seed: int
                     ) -> tuple[ClassifierModel, RedeployTiming]:
         """The model and its three twin-side stage times; transfer and total
         are left at 0 for ``handle`` (the request's transfer) and
-        ``run_redeploy_pipeline`` (the artifact's, and the total) to fill in.
-
-        One build runs at a time, on (n, K) arrays kept between builds, so a
-        build on grown arrays makes and frees no data set on any thread."""
-        with self._build_lock:
-            return self._build(pilots, seed)
-
-    def _kept(self, name: str, shape: tuple[int, int]) -> np.ndarray:
-        """A ``shape`` float32 view of the kept array ``name``, grown as needed."""
-        size = shape[0] * shape[1]
-        if self._arrays.get(name, np.empty(0)).size < size:
-            self._arrays[name] = np.empty(size, np.float32)
-        return self._arrays[name][:size].reshape(shape)
-
-    def _build(self, pilots: PilotConfig, seed: int
-               ) -> tuple[ClassifierModel, RedeployTiming]:
+        ``run_redeploy_pipeline`` (the artifact's, and the total) to fill in."""
         rng = np.random.default_rng(derive_seed(seed, SEED_DATA))
-        k = pilots.n_subcarriers
         t0 = time.perf_counter()
-        train_powers, y_train = generate_labeled_frames(
-            pilots, self.n_train, rng, self._kept("train", (self.n_train, k)))
-        test_powers, y_test = generate_labeled_frames(
-            pilots, self.n_test, rng, self._kept("test", (self.n_test, k)))
+        train_powers, y_train = generate_labeled_frames(pilots, self.n_train, rng)
+        test_powers, y_test = generate_labeled_frames(pilots, self.n_test, rng)
         t1 = time.perf_counter()
         x_train, x_test, stats = normalize_dataset(train_powers, test_powers)
         t2 = time.perf_counter()

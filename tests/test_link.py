@@ -182,6 +182,17 @@ class TestLinkEndpoint:
             assert dt.gap_count == 4
             assert dt.poll_envelope(0.2) is None
 
+    def test_two_kinds_on_one_topic_count_no_gap(self, broker):
+        # publish_envelope numbers per topic, whatever the kind
+        with LinkEndpoint("rw", broker.host, broker.port) as rw, \
+             LinkEndpoint("dt", broker.host, broker.port) as dt:
+            dt.subscribe("rw/#")
+            for kind in ("TrafficUpdate", "EvalRequest", "TrafficUpdate"):
+                rw.publish_envelope("rw/traffic", kind, b"x")
+            got = [dt.poll_envelope(timeout=2.0) for _ in range(3)]
+            assert [e.seq for e in got] == [0, 1, 2]
+            assert dt.gap_count == 0
+
     def test_kind_filter_keeps_one_deadline_while_other_kinds_arrive(self, broker):
         stop = threading.Event()
         with LinkEndpoint("rw", broker.host, broker.port) as rw, \
