@@ -158,13 +158,13 @@ def run_mirror_experiment(host: str, port: int,
             t = k * tick_s
             rate = schedule.rate_at(t)
             real_sim.apply_allocation([rate])
-            real_sim.step_tick()
+            real_sim.step_ticks(1)
             real_sim.publish_observation(real_link, TOPIC_RW_TRAFFIC)
             envelope = twin_link.poll_envelope(timeout=10.0)
             if envelope is None:
                 raise TimeoutError(f"traffic update for tick {k} never arrived")
             twin_sim.apply_mirror_update(envelope)
-            twin_sim.step_tick()
+            twin_sim.step_ticks(1)
             if realtime:
                 time.sleep(tick_s)
         seq_gaps = twin_link.gap_count
@@ -216,9 +216,10 @@ def run_pilot_scenario(label: str, host: str, port: int, seed: int = 0,
         if len(jam_events) != 1:
             raise RuntimeError(f"expected one jam event, got {jam_events}")
         jammed_pilot = pilots.pilot_indices[jam_events[0].jam_class - 1]
-        new_pilots = pg.select_new_pilots(pilots, jammed_pilot, seed=seed + 2)
+        new_pilots = pg.select_new_pilots(
+            pilots, jammed_pilot, seed=derive_seed(seed, pg.SEED_NEW_PILOTS))
         model, timing = pg.run_redeploy_pipeline(
-            bs, bs_link, factory, new_pilots, seed=seed + 3
+            bs, bs_link, factory, new_pilots, seed=derive_seed(seed, pg.SEED_REBUILD)
         )
         post_events = bs.detect_loop(
             pg.generate_frame(new_pilots, 1, rng) for _ in range(5)

@@ -359,12 +359,6 @@ def _cut_short(chunk: bytes | int | None, where: str) -> CodecError:
     return TruncatedFrameError(f"EOF inside {where}")
 
 
-def read_packet(stream: BinaryIO) -> ControlPacket | None:
-    """Read one framed packet from a blocking byte stream into a buffer of
-    its own; see ``FrameReader.read_packet``."""
-    return FrameReader(stream).read_packet()
-
-
 def write_frame(sock: socket.socket, buffers: list) -> int:
     """Write the buffers of one encoded frame (``encode_packet``) in order,
     with ``sendmsg``, so a publish payload goes out without being joined to

@@ -132,7 +132,7 @@ class CellSim:
     def step_tick(self) -> NetworkState:
         """Advance one tick: apply pending allocation, draw PSR, move packets."""
         self.step_ticks(1)
-        return self.last_state
+        return self._state(self.tick_index - 1)
 
     def step_ticks(self, count: int) -> tuple[np.ndarray, np.ndarray]:
         """Advance ``count`` ticks at the staged allocation; returns the
@@ -174,10 +174,6 @@ class CellSim:
         r_exp, r_act, psr, sent, received = (c[tick].tolist() for c in self._history.values())
         ues = tuple(map(UEStat, r_exp, r_act, sent, received, psr))
         return NetworkState(tick, ues, float(np.sum(self._history["r_act"][tick])))
-
-    @property
-    def last_state(self) -> NetworkState | None:
-        return self._state(self.tick_index - 1) if self.tick_index else None
 
     @property
     def tick_log(self) -> tuple[NetworkState, ...]:

@@ -63,8 +63,10 @@ ACCURACY_CSV_SCHEMA = ["channel_size", "pilot_amount", "train_accuracy",
                        "test_accuracy"]
 
 # The key under which each draw derives its generator from the caller's seed
-# (``derive_seed``), so that no two draws share a stream.
+# (``derive_seed``), so that no two draws share a stream. Keys 7 and 8 give the
+# pilot command's relocation and rebuild seeds (the tests' data set takes 6).
 SEED_PILOTS, SEED_WEIGHTS, SEED_RELOCATE, SEED_DATA, SEED_FRAMES = range(1, 6)
+SEED_NEW_PILOTS, SEED_REBUILD = 7, 8
 
 MODEL_MAGIC = b"TWNM"
 MODEL_VERSION = 1

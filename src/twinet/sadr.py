@@ -84,17 +84,11 @@ def dwell_rewards(sim: CellSim, ticks: int) -> np.ndarray:
 @dataclass(frozen=True)
 class TrafficRequest:
     request_id: int
-    action_indices: tuple[int, ...]
     risk_vector: tuple[float, ...]
 
     @classmethod
-    def from_actions(cls, request_id: int, action_indices) -> "TrafficRequest":
-        indices = tuple(action_indices)
-        return cls(
-            request_id=request_id,
-            action_indices=indices,
-            risk_vector=tuple(map(map_action_to_rate, indices)),
-        )
+    def from_actions(cls, request_id: int, actions) -> "TrafficRequest":
+        return cls(request_id, tuple(map(map_action_to_rate, actions)))
 
 
 @dataclass(frozen=True)
@@ -135,13 +129,12 @@ class SadrController:
     """Implements the two event handlers of the SADR decision routine."""
 
     def __init__(self, config: SadrConfig, real_sim: CellSim,
-                 send_eval_request: Callable[[TrafficRequest], None] | None = None):
+                 send_eval_request: Callable[[TrafficRequest], None]):
         self.config = config
         self.real_sim = real_sim
         self.send_eval_request = send_eval_request
         self.pending: dict[int, TrafficRequest] = {}
         self.applied_rates: tuple[float, ...] | None = None
-        self.flagged = False
         self.unknown_results = 0
 
     def _launch(self, rates) -> tuple[float, ...]:
@@ -154,15 +147,13 @@ class SadrController:
         """New UE traffic request: launch directly, or defer risky ones to the twin."""
         risk = compute_risk(req.risk_vector, self.real_sim.config.capacity_mbps)
         if risk > self.config.risk_threshold:  # strictly above triggers the twin
-            if self.send_eval_request is not None:
-                try:
-                    self.send_eval_request(req)
-                except Exception as exc:
-                    log.warning("twin unreachable (%s); applying safe setup", exc)
-                else:
-                    self.pending[req.request_id] = req
-                    return DEFER_TO_TWIN
-            self.flagged = True
+            try:
+                self.send_eval_request(req)
+            except Exception as exc:
+                log.warning("twin unreachable (%s); applying safe setup", exc)
+            else:
+                self.pending[req.request_id] = req
+                return DEFER_TO_TWIN
             self._launch(self.config.safe_setup)
             return SAFE_FALLBACK
         self._launch(req.risk_vector)
@@ -207,9 +198,7 @@ def encode_eval_request(req: TrafficRequest, horizon: int) -> bytes:
 def decode_eval_request(payload: bytes) -> tuple[TrafficRequest, int]:
     request_id, horizon, *rates = unpack_payload(_EVAL_REQUEST, payload)
     _check_horizon(horizon)
-    req = TrafficRequest(request_id=request_id, action_indices=(),
-                         risk_vector=tuple(rates))
-    return req, horizon
+    return TrafficRequest(request_id, tuple(rates)), horizon
 
 
 def encode_eval_result(evaluation: TwinEvaluation) -> bytes:

@@ -218,7 +218,7 @@ def test_criterion_4_controller_truth_table():
                                 app_requirements=app_req, safe_setup=safe)
             sent = []
             ctrl = SadrController(config, sim, send_eval_request=sent.append)
-            req = TrafficRequest(1, (0, 0, 0), (rate, rate, rate))
+            req = TrafficRequest(1, (rate, rate, rate))
             decision = ctrl.on_traffic_request(req)
             if risk_name in ("below", "equal"):
                 expected = ("launch_directly", (rate,) * 3)
@@ -306,7 +306,7 @@ def test_criterion_6_reward_oracle():
             failures.append(f"reward mismatch on state {i}")
             break
     sim = CellSim(ScenarioConfig(psr_noise_sigma=0.05, seed=6))
-    req = TrafficRequest(1, (8, 8, 8), (4.0, 4.0, 4.0))
+    req = TrafficRequest(1, (4.0, 4.0, 4.0))
     evaluation = twin_evaluate(sim, req, horizon=40)
     log_mean = float(np.mean([per_tick_reward(s) for s in sim.tick_log]))
     if abs(evaluation.twin_reward - log_mean) > 1e-12:

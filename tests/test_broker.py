@@ -14,8 +14,8 @@ from twinet.broker import Broker
 from twinet.client import BrokerUnreachableError, MqttClient
 from twinet.link import LinkEndpoint
 from twinet.mqtt import (MAX_FRAME_BYTES, SPLIT_READ_BYTES, ConnAck, Connect,
-                         PubAck, Publish, SubAck, Subscribe, TopicFilter,
-                         encode_packet, encode_remaining_length, read_packet,
+                         FrameReader, PubAck, Publish, SubAck, Subscribe,
+                         TopicFilter, encode_packet, encode_remaining_length,
                          topic_matches, validate_filter)
 
 
@@ -74,7 +74,7 @@ class TestSessionHandling:
         with socket.create_connection((broker.host, broker.port)) as sock, \
              sock.makefile("rb") as stream:
             sock.sendall(b"".join(encode_packet(Connect("big"))))
-            assert isinstance(read_packet(stream), ConnAck)
+            assert isinstance(FrameReader(stream).read_packet(), ConnAck)
             # a PUBLISH header declaring 200 MB, and no body
             sock.sendall(b"\x30" + encode_remaining_length(200_000_000))
             sock.settimeout(1.0)
@@ -334,9 +334,9 @@ class TestSlowSubscriber:
         try:
             with stalled.makefile("rb") as stream:
                 stalled.sendall(b"".join(encode_packet(Connect("stalled"))))
-                assert isinstance(read_packet(stream), ConnAck)
+                assert isinstance(FrameReader(stream).read_packet(), ConnAck)
                 stalled.sendall(b"".join(encode_packet(Subscribe(1, (("t/#", 0),)))))
-                assert isinstance(read_packet(stream), SubAck)
+                assert isinstance(FrameReader(stream).read_packet(), SubAck)
             # from here on nothing reads the stalled subscriber's socket
             sub = make_client(broker, "pair-sub")
             sub.subscribe("pair/#", 1)
@@ -434,7 +434,7 @@ class TestLifecycle:
         def stream_publishes():
             sock, _ = listener.accept()
             with sock, sock.makefile("rb") as stream:
-                read_packet(stream)
+                FrameReader(stream).read_packet()
                 sock.sendall(b"".join(encode_packet(ConnAck(0))))
                 burst = b"".join(encode_packet(Publish("t", b"x" * 10))) * 100
                 with contextlib.suppress(OSError):
@@ -490,7 +490,7 @@ class TestDeadConnection:
         def serve_half_a_frame():
             sock, _ = listener.accept()
             with sock, sock.makefile("rb") as stream:
-                read_packet(stream)
+                FrameReader(stream).read_packet()
                 frame = b"".join(encode_packet(Publish("t", b"x" * 100)))
                 sock.sendall(b"".join(encode_packet(ConnAck(0))) + frame[:10])
                 done.wait(5.0)
@@ -519,7 +519,7 @@ class TestDeadConnection:
         def serve_part_of_a_payload():
             sock, _ = listener.accept()
             with sock, sock.makefile("rb") as stream:
-                read_packet(stream)
+                FrameReader(stream).read_packet()
                 frame = b"".join(encode_packet(Publish("t", bytes(2 * SPLIT_READ_BYTES))))
                 sock.sendall(b"".join(encode_packet(ConnAck(0)))
                              + frame[:SPLIT_READ_BYTES])
@@ -551,7 +551,7 @@ class TestDeadConnection:
         def serve_a_huge_header():
             sock, _ = listener.accept()
             with sock, sock.makefile("rb") as stream:
-                read_packet(stream)
+                FrameReader(stream).read_packet()
                 sock.sendall(b"".join(encode_packet(ConnAck(0))) + b"\x30"
                              + encode_remaining_length(MAX_FRAME_BYTES) + b"\x00\x01t")
                 done.wait(5.0)
@@ -581,9 +581,9 @@ class TestDeadConnection:
         def serve_then_hang_up():
             sock, _ = listener.accept()
             with sock, sock.makefile("rb") as stream:
-                read_packet(stream)
+                FrameReader(stream).read_packet()
                 sock.sendall(b"".join(encode_packet(ConnAck(0))))
-                read_packet(stream)
+                FrameReader(stream).read_packet()
 
         peer = threading.Thread(target=serve_then_hang_up, daemon=True)
         peer.start()

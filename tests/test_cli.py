@@ -10,7 +10,9 @@ import pytest
 from click.testing import CliRunner
 
 import twinet
-from twinet.cli import main
+from twinet import pilotguard as pg
+from twinet.broker import Broker
+from twinet.cli import main, run_pilot_scenario
 from twinet.link import BENCH_CSV_SCHEMA, BENCH_MAX_SIZE
 from twinet.metrics import SchemaError, write_metrics_csv
 from twinet.netsim import TICK_CSV_SCHEMA
@@ -155,6 +157,27 @@ class TestPilotCommand:
         assert float(accuracy[0]["test_accuracy"]) > 0.8
         assert (float(timing[0]["total_deployment_s"])
                 >= float(timing[0]["model_creation_s"]))
+
+    def test_runs_share_no_build_seed(self, monkeypatch):
+        # A build draws its data and weights from the seed it is given, so a
+        # seed that recurs across runs repeats a model: a rebuild seeded
+        # seed + 3 would draw run seed + 3's boot model.
+        seeds = []
+        build = pg.ModelFactoryService.build_model
+
+        def recording(factory, pilots, seed):
+            seeds.append(seed)
+            return build(factory, pilots, seed)
+
+        monkeypatch.setattr(pg.ModelFactoryService, "build_model", recording)
+        by_run = {}
+        with Broker(port=0) as broker:
+            for run_seed in (0, 3):
+                run_pilot_scenario("10 MHz", broker.host, broker.port, seed=run_seed,
+                                   n_train=600, n_test=150)
+                by_run[run_seed], seeds[:] = set(seeds), []
+        assert len(by_run[0]) == len(by_run[3]) == 2
+        assert by_run[0].isdisjoint(by_run[3])
 
     # The frame counts' range rules hold for every command's flags.
     @pytest.mark.parametrize("command, flag, value", [

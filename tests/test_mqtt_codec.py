@@ -31,7 +31,6 @@ from twinet.mqtt import (
     decode_remaining_length,
     encode_packet,
     encode_remaining_length,
-    read_packet,
     write_frame,
 )
 
@@ -196,18 +195,19 @@ class TestReadPacket:
         packets = [Publish("a/b", bytes(range(256)) * 4, qos=1, packet_id=9),
                    PingReq(), Publish("c", b"", qos=0)]
         stream = OneByteStream(b"".join(b"".join(encode_packet(p)) for p in packets))
-        assert [read_packet(stream) for _ in packets] == packets
-        assert read_packet(stream) is None  # clean EOF at a frame boundary
+        # a reader per packet: one reader reuses its buffer for the next frame
+        assert [FrameReader(stream).read_packet() for _ in packets] == packets
+        assert FrameReader(stream).read_packet() is None  # clean EOF at a frame boundary
 
     def test_eof_mid_body_raises(self):
         frame = b"".join(encode_packet(Publish("a/b", b"x" * 300, qos=0)))
         with pytest.raises(TruncatedFrameError):
-            read_packet(OneByteStream(frame[:-1]))
+            FrameReader(OneByteStream(frame[:-1])).read_packet()
 
     def test_eof_inside_remaining_length_raises(self):
         frame = b"".join(encode_packet(Publish("a/b", b"x" * 300, qos=0)))
         with pytest.raises(TruncatedFrameError):
-            read_packet(OneByteStream(frame[:2]))  # varint continues past byte 2
+            FrameReader(OneByteStream(frame[:2])).read_packet()  # varint continues past byte 2
 
     @pytest.mark.parametrize("cut, where", [
         (0, "before a frame began"),
@@ -217,14 +217,14 @@ class TestReadPacket:
     def test_read_that_times_out_raises_stalled_frame(self, cut, where):
         frame = b"".join(encode_packet(Publish("a/b", b"x" * 300, qos=0)))
         with pytest.raises(StalledFrameError, match=where):
-            read_packet(StallingStream(frame[:cut]))
+            FrameReader(StallingStream(frame[:cut])).read_packet()
 
     def test_header_over_max_frame_raises_before_allocating(self):
         # Only the header arrives; a reader that allocated first would wait for
         # (here: run out of) a 200 MB body and raise TruncatedFrameError.
         header = b"\x30" + encode_remaining_length(200_000_000)
         with pytest.raises(FrameTooLargeError):
-            read_packet(OneByteStream(header))
+            FrameReader(OneByteStream(header)).read_packet()
 
 
     def test_reader_reuses_its_buffer_for_every_frame(self):

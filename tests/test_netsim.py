@@ -90,7 +90,7 @@ class TestStepTick:
         assert s.step_tick().ues[0].r_act_mbps == 1.0
         s.apply_allocation([2.0, 2.0, 2.0])
         # not yet stepped: last state unchanged
-        assert s.last_state.ues[0].r_act_mbps == 1.0
+        assert s.tick_log[-1].ues[0].r_act_mbps == 1.0
         assert s.step_tick().ues[0].r_act_mbps == 2.0
 
     def test_allocation_validation(self):
@@ -109,8 +109,8 @@ class TestStepTick:
             s.apply_allocation([rate, 0.0, 0.0])
         with pytest.raises(ValueError, match="finite"):
             s.apply_allocation([1.0, 0.0, 0.0], expected_mbps=[rate, 0.0, 0.0])
-        s.step_tick()  # the rejected rates were never staged
-        assert s.last_state.aggregate_demand_mbps == 0.0
+        # the rejected rates were never staged
+        assert s.step_tick().aggregate_demand_mbps == 0.0
 
     def test_identical_inputs_identical_state_sequences(self):
         def run():
@@ -217,11 +217,9 @@ class TestStepTicks:
         s = sim(sigma=0.05, seed=4)
         s.apply_allocation([3.0, 3.0, 3.0])
         assert s.step_ticks(0)[0].shape == (0, 3)
-        assert s.tick_index == 0 and s.last_state is None
-        for _ in range(37):  # grows the history several times
-            s.step_tick()
-        assert len(s.tick_log) == 37
-        assert s.last_state == s.tick_log[-1] and s.last_state.tick_index == 36
+        assert s.tick_index == 0 and s.tick_log == ()
+        states = [s.step_tick() for _ in range(37)]  # grows the history several times
+        assert s.tick_log == tuple(states) and states[-1].tick_index == 36
         with pytest.raises(ValueError):
             s.step_ticks(-1)
 

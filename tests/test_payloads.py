@@ -56,7 +56,7 @@ class TestGoldenBytes:
         )
 
     def test_eval_request(self):
-        req = TrafficRequest(258, (1, 9), (0.5, 4.5))
+        req = TrafficRequest(258, (0.5, 4.5))
         assert encode_eval_request(req, 50) == (
             b"\x00\x00\x00\x00\x00\x00\x01\x02"  # request_id u64
             b"\x00\x00\x00\x32"                  # horizon u32
@@ -93,7 +93,7 @@ class TestRoundTrip:
         assert twin.last_applied_update_tick == 0
 
     def test_eval_request(self):
-        req = TrafficRequest(2**40, (), (0.1, 1.0 / 3.0, 4.5))
+        req = TrafficRequest(2**40, (0.1, 1.0 / 3.0, 4.5))
         assert decode_eval_request(encode_eval_request(req, EVAL_MAX_HORIZON)) == (
             req, EVAL_MAX_HORIZON)
 
@@ -128,7 +128,7 @@ class TestRejection:
             apply_traffic_update(traffic_update((1.0, 2.0)).payload[:-1])
         with pytest.raises(EnvelopeError):
             decode_eval_request(
-                encode_eval_request(TrafficRequest(1, (), (1.0,)), 5) + b"\x00")
+                encode_eval_request(TrafficRequest(1, (1.0,)), 5) + b"\x00")
         with pytest.raises(EnvelopeError):
             decode_eval_result(
                 encode_eval_result(TwinEvaluation(1, 2.0, (1.0, 2.0)))[:-3])
@@ -137,7 +137,7 @@ class TestRejection:
     def test_eval_request_horizon_out_of_range(self, horizon):
         # 0 would average an empty block; above the maximum the EvalResult
         # would not fit one frame, after the twin had simulated every tick.
-        req = TrafficRequest(1, (), (1.0,))
+        req = TrafficRequest(1, (1.0,))
         with pytest.raises(EnvelopeError, match="horizon"):
             encode_eval_request(req, horizon)
         with pytest.raises(EnvelopeError, match="horizon"):

@@ -3,7 +3,8 @@ Installing its tracer checks that every one of them still exists, so a
 rename fails here and not only in a traced benchmark run. Sending envelopes,
 building a model and detecting over frames with the tracer installed checks
 that the publish, factory and detection paths still call the wrapped names,
-so a traced run does not read n=0 for a layer."""
+so a traced run does not read n=0 for a layer. One step of each workload
+covers the names the workloads call without the tracer."""
 
 import sys
 import types
@@ -118,3 +119,22 @@ def test_wrapped_layers_see_each_detected_frame(perfbench_path):
     frames = [pg.generate_frame(pilots, 1, rng) for _ in range(7)]
     spans = _traced(lambda: station.detect_loop(frames))
     assert spans["pilotguard.predict", None] == len(frames)
+
+
+@pytest.mark.parametrize("name", ["mirror", "link-bulk", "sadr-gated", "pilot-redeploy"])
+def test_one_step_of_each_workload_verifies(perfbench_path, name):
+    # The workloads also call twinet names that the tracer does not wrap
+    # (``tick_log``, ``from_actions``, ``twin_sim_for`` ...), so a deletion
+    # that breaks them would otherwise fail only in a benchmark run.
+    from workloads import WORKLOADS, Samples
+
+    cls = WORKLOADS[name]
+    workload, out = cls(cls.make_inputs(7), 0), Samples()
+    workload.setup()
+    try:
+        workload.step(out)
+    finally:
+        workload.quiesce()
+        workload.teardown()
+    workload.verify(out)
+    assert out.work > 0 and out.attempted > 0 and not out.failures, out.failures
